@@ -145,7 +145,9 @@ def is_primitive(chain: FiniteAbsorbedChain) -> bool:
     target = max(n * n, 2)
     e = 1
     while e < target:
-        b = (b.astype(np.uint8) @ b.astype(np.uint8)) > 0
+        # path counts in float64 are exact below 2^53; a uint8 product wraps at 256
+        f = b.astype(np.float64)
+        b = (f @ f) > 0
         e *= 2
         if b.all():
             return True
@@ -246,18 +248,6 @@ def evolve_conditioned(
         d = d / step_mass
         log_mass += float(np.log(step_mass))
     return d, float(np.exp(log_mass))
-
-
-def conditioned_rows(chain: FiniteAbsorbedChain, t_max: int) -> np.ndarray:
-    """Conditioned laws from every delta start, all t <= t_max: (t_max+1, n, n)."""
-    out = np.empty((t_max + 1, chain.n, chain.n))
-    rows = np.eye(chain.n)
-    out[0] = rows
-    for t in range(1, t_max + 1):
-        rows = rows @ chain.kernel
-        rows = rows / rows.sum(axis=1, keepdims=True)
-        out[t] = rows
-    return out
 
 
 @dataclass(frozen=True)

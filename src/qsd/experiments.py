@@ -36,7 +36,8 @@ def _write_csv(path, header: str, rows) -> None:
 
 
 def _load_chain(cfg: ExperimentConfig) -> ch.FiniteAbsorbedChain:
-    path = cfg.get_str("model", "chain")
+    """The `[model] chain` file; a relative path is taken from the config's directory."""
+    path = os.path.join(os.path.dirname(cfg.path), cfg.get_str("model", "chain"))
     if not os.path.exists(path):
         raise ConfigError(f"{cfg.path}: chain file {path!r} does not exist")
     try:

@@ -10,7 +10,7 @@ from .domains import DomainError
 from .measures import BinGrid, Measure, histogram_from_samples
 from .models import DiffusionModel
 from .rng import step_generator, stream_generator
-from .simulate import ZeroSurvivorError, _absorb, _advance, _noise_dim, survival_snapshots
+from .simulate import ZeroSurvivorError, _start_cloud, _step, survival_snapshots
 
 
 class ExtinctionError(RuntimeError):
@@ -71,10 +71,8 @@ def conditioned_law_series(
     Results follow the ascending-sorted time grid; entries are None at
     times where no path survived.
     """
-    if n < 100:
-        raise ValueError("need n >= 100")
+    starts = _start_cloud(model, x, n)
     grid = domain_grid(model, bins)
-    starts = np.tile(np.atleast_1d(np.asarray(x, dtype=float)), (n, 1))
     res = survival_snapshots(
         model, starts, times, dt, seed, bridge=bridge, keep_positions=times
     )
@@ -142,7 +140,6 @@ def fleming_viot_run(
             raise ValueError(f"init cloud must have shape ({n}, {model.dim})")
         if not model.domain.contains(pos).all():
             raise DomainError("initial cloud must lie in the open domain")
-    r = _noise_dim(model)
     n_steps = int(np.ceil(horizon / dt - 1e-9))
     burn_steps = int(np.ceil(burn_in / dt - 1e-9))
     edges = grid.edge_arrays()
@@ -151,12 +148,8 @@ def fleming_viot_run(
     rebirth_count = np.zeros(n_steps, dtype=np.int64)
     total = 0
     for step in range(n_steps):
-        g = step_generator(seed, step)
-        z = g.standard_normal((n, r))
-        u = g.random(n)
-        new = _advance(model, pos, z, dt)
-        alive = _absorb(model, pos, new, u, dt, bridge)
-        pos = new
+        g = step_generator(seed, step)  # also draws the rebirth donors
+        pos, alive = _step(model, pos, g, dt, bridge)
         dead = np.flatnonzero(~alive)
         if dead.size:
             alive_idx = list(np.flatnonzero(alive))

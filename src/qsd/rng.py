@@ -1,10 +1,13 @@
 """Counter-based random streams.
 
 Every Monte-Carlo routine derives its noise from Philox streams keyed by
-(seed, step index), with the path index selecting a fixed slot inside the
-step block.  The variate used by path i at step k is therefore a pure
-function of (seed, i, k): path blocks can be generated in any order, or in
-parallel, and aggregates do not depend on scheduling.
+(seed, step index).  Inside a step block, variates are handed out in slot
+order, one slot per path passed to the step.  Estimators that compact
+absorbed paths away pass only the survivors, so there the variate a path
+uses at step k is a function of (seed, k, alive slot), not of its original
+index: it depends on which paths died earlier, and splitting a batch
+changes the realisations.  Keying the noise by path id is item 3 of
+ROADMAP.md.
 
 Probe-level seeds are derived from the master seed with `substream`, so
 independent probes never share a stream.

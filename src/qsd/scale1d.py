@@ -132,7 +132,9 @@ def natural_scale_exit_mc(
 
     Returns (state, exit_time): state 1 = hit hi first, 2 = hit 0 first,
     3 = still inside at the horizon.  Both barriers get the Brownian-bridge
-    crossing correction with the locally frozen volatility.
+    crossing correction with the locally frozen volatility.  One uniform
+    decides between the two barriers and the exit side is recorded, which
+    is why this loop does not use the alive-mask kernel `simulate._step`.
     """
     if not 0 < u < hi:
         raise ValueError("need 0 < u < hi")

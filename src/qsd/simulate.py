@@ -9,13 +9,19 @@ the boundary-normal direction at the step start.  Discrete-exit absorption
 alone is biased low (paths can cross and return between samples); the
 correction is switchable for bias studies.
 
-Noise is drawn from per-(seed, step) Philox blocks (see `rng`), so the
-variate consumed by a given path at a given step is a pure function of
-(seed, path index, step index).
+The estimators here and in `particles` advance their paths through one
+kernel, `_step`, which draws the step's noise from a per-(seed, step)
+Philox block (see `rng`) in slot order: slot j serves row j of the paths
+passed in.  Most of them compact absorbed paths away, so a path's slot is
+its rank among the paths still alive at that step.  Its variate is then a
+function of (seed, step, alive slot), not of its original index: it
+depends on which paths died earlier, and splitting a batch changes the
+realisations.  Keying the noise by path id is item 3 of ROADMAP.md.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,22 +86,44 @@ def _noise_dim(model: DiffusionModel) -> int:
     return r if r else model.dim
 
 
-def _advance(model, x, z, dt):
-    return x + model.drift(x) * dt + model.diffusion.apply(x, z) * np.sqrt(dt)
+def _step(model, x, g, dt, bridge):
+    """One Euler step with absorption for the paths in `x`: (x_new, alive).
 
-
-def _absorb(model, x0, x1, u, dt, bridge):
-    """Alive mask for a step x0 -> x1, with optional bridge correction."""
-    alive = model.domain.contains(x1)
+    `x` has shape (..., k, d).  The step draws k normal vectors, then k
+    uniforms, from `g`; slot j serves row j of the last-but-one axis, and
+    every leading axis shares the same k slots (common random numbers).
+    A path is alive when x_new lies in the open domain {rho > 0} and, with
+    `bridge`, the Brownian-bridge crossing test does not fire.  `alive` has
+    shape x.shape[:-1]; non-finite rows of x_new are never alive.
+    """
+    shape = x.shape
+    z = g.standard_normal((shape[-2], _noise_dim(model)))
+    u = g.random(shape[-2])
+    lead = math.prod(shape[:-2])
+    if lead > 1:
+        z, u = np.tile(z, (lead, 1)), np.tile(u, lead)
+    x = x.reshape(-1, shape[-1])
+    x_new = x + model.drift(x) * dt + model.diffusion.apply(x, z) * np.sqrt(dt)
+    rho1 = model.domain.rho_boundary(x_new)
+    alive = rho1 > 0
     if bridge:
-        rho0 = model.domain.rho_boundary(x0)
-        rho1 = np.maximum(model.domain.rho_boundary(x1), 0.0)
-        sig2 = model.normal_sigma2(x0)
+        rho0 = model.domain.rho_boundary(x)
+        sig2 = model.normal_sigma2(x)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            p_cross = np.exp(-2.0 * rho0 * rho1 / (sig2 * dt))
+            p_cross = np.exp(-2.0 * rho0 * np.maximum(rho1, 0.0) / (sig2 * dt))
         p_cross = np.where(sig2 > 0, p_cross, 0.0)
         alive &= ~(u < p_cross)
-    return alive
+    return x_new.reshape(shape), alive.reshape(shape[:-1])
+
+
+def _start_cloud(model, x, n):
+    """n copies of the start x as an (n, d) cloud, checked against the open domain."""
+    if n < 100:
+        raise ValueError("need n >= 100")
+    pos = np.tile(np.atleast_1d(np.asarray(x, dtype=float)), (n, 1))
+    if not model.domain.contains(pos).all():
+        raise DomainError(f"start {x!r} is not in the open domain")
+    return pos
 
 
 def simulate_path(
@@ -108,7 +136,6 @@ def simulate_path(
     x = np.asarray(x0, dtype=float).reshape(1, model.dim)
     if not model.domain.contains(x)[0]:
         raise DomainError(f"start {x0!r} is not in the open domain")
-    r = _noise_dim(model)
     dt = config.dt
     times = [0.0]
     positions = [x[0].copy()]
@@ -117,13 +144,9 @@ def simulate_path(
         hit_time = 0.0
     absorption_time = np.inf
     for step in range(config.n_steps):
-        g = step_generator(config.seed, step)
-        z = g.standard_normal((1, r))
-        u = g.random(1)
-        x_new = _advance(model, x, z, dt)
+        x_new, alive = _step(model, x, step_generator(config.seed, step), dt, config.bridge_correction)
         if not np.isfinite(x_new).all():
             raise NumericalBlowupError(step)
-        alive = _absorb(model, x, x_new, u, dt, config.bridge_correction)
         t = (step + 1) * dt
         if not alive[0]:
             absorption_time = t
@@ -185,7 +208,6 @@ def survival_snapshots(
     n = x.shape[0]
     if not model.domain.contains(x).all():
         raise DomainError("some start positions are not in the open domain")
-    r = _noise_dim(model)
     snap = _snap_steps(times, dt)
     keep = {int(np.ceil(t / dt - 1e-9)) for t in keep_positions}
     counts = np.zeros(len(times), dtype=np.int64)
@@ -201,11 +223,7 @@ def survival_snapshots(
     for step in range(n_steps):
         if x.shape[0] == 0:
             break
-        g = step_generator(seed, step)
-        z = g.standard_normal((x.shape[0], r))
-        u = g.random(x.shape[0])
-        x_new = _advance(model, x, z, dt)
-        alive = _absorb(model, x, x_new, u, dt, bridge)
+        x_new, alive = _step(model, x, step_generator(seed, step), dt, bridge)
         x = x_new[alive]
         while ti < len(times) and snap[ti] == step + 1:
             counts[ti] = x.shape[0]
@@ -231,11 +249,9 @@ def survival_probability(
     bridge: bool = True,
 ) -> tuple[float, float]:
     """Monte-Carlo survival probability P_x(t < tau) with binomial SE."""
-    if n < 100:
-        raise ValueError("need n >= 100")
-    if t == 0:
+    if t == 0 and n >= 100:  # _start_cloud rejects n < 100
         return 1.0, 0.0
-    starts = np.tile(np.atleast_1d(np.asarray(x, dtype=float)), (n, 1))
+    starts = _start_cloud(model, x, n)
     res = survival_snapshots(model, starts, [t], dt, seed, bridge=bridge)
     p = float(res.counts[0]) / n
     return p, float(np.sqrt(p * (1 - p) / n))
@@ -253,22 +269,13 @@ def hitting_before(
     bridge: bool = True,
 ) -> tuple[float, float]:
     """MC estimate of the joint event {T_K <= t1} and {t1 < tau}."""
-    if n < 100:
-        raise ValueError("need n >= 100")
-    pos = np.tile(np.atleast_1d(np.asarray(x, dtype=float)), (n, 1))
-    if not model.domain.contains(pos).all():
-        raise DomainError(f"start {x!r} is not in the open domain")
-    r = _noise_dim(model)
+    pos = _start_cloud(model, x, n)
     hit = target.contains(pos)
     n_steps = int(np.ceil(t1 / dt - 1e-9))
     for step in range(n_steps):
         if pos.shape[0] == 0:
             break
-        g = step_generator(seed, step)
-        z = g.standard_normal((pos.shape[0], r))
-        u = g.random(pos.shape[0])
-        new = _advance(model, pos, z, dt)
-        alive = _absorb(model, pos, new, u, dt, bridge)
+        new, alive = _step(model, pos, step_generator(seed, step), dt, bridge)
         pos, hit = new[alive], hit[alive]
         hit |= target.contains(pos)
     p = float(hit.sum()) / n
@@ -288,23 +295,14 @@ def tube_probability(
     bridge: bool = True,
 ) -> tuple[float, float]:
     """MC estimate of P_x(X_s in B(y, r) for every sample time in [t1, 2 t1])."""
-    if n < 100:
-        raise ValueError("need n >= 100")
-    pos = np.tile(np.atleast_1d(np.asarray(x, dtype=float)), (n, 1))
-    if not model.domain.contains(pos).all():
-        raise DomainError(f"start {x!r} is not in the open domain")
+    pos = _start_cloud(model, x, n)
     center = np.atleast_1d(np.asarray(y, dtype=float))
-    r_noise = _noise_dim(model)
     k1 = int(np.ceil(t1 / dt - 1e-9))
     k2 = int(np.ceil(2 * t1 / dt - 1e-9))
     for step in range(k2):
         if pos.shape[0] == 0:
             break
-        g = step_generator(seed, step)
-        z = g.standard_normal((pos.shape[0], r_noise))
-        u = g.random(pos.shape[0])
-        new = _advance(model, pos, z, dt)
-        alive = _absorb(model, pos, new, u, dt, bridge)
+        new, alive = _step(model, pos, step_generator(seed, step), dt, bridge)
         pos = new[alive]
         if step + 1 >= k1:
             inside = np.linalg.norm(pos - center, axis=1) <= radius
@@ -340,7 +338,6 @@ def split_survival_profile(
         xs = xs[:, None]
     m = xs.shape[0]
     times = sorted(float(t) for t in times)
-    r = _noise_dim(model)
     pos = np.repeat(xs[:, None, :], n, axis=1)  # (m, n, d)
     log_surv = np.zeros(m)
     rel_var = np.zeros(m)
@@ -351,13 +348,8 @@ def split_survival_profile(
     n_steps = max(snap)
     ti = 0
     for step in range(n_steps):
-        g = step_generator(seed, step)
-        z = g.standard_normal((n, r))
-        u = g.random(n)
-        for i in range(m):
-            x_new = _advance(model, pos[i], z, dt)
-            alive = _absorb(model, pos[i], x_new, u, dt, bridge)
-            pos[i] = np.where(alive[:, None], x_new, np.nan)
+        x_new, alive = _step(model, pos, step_generator(seed, step), dt, bridge)
+        pos = np.where(alive[..., None], x_new, np.nan)
         if (step + 1) % w_steps == 0 and step + 1 < n_steps:
             for i in range(m):
                 alive_idx = np.flatnonzero(np.isfinite(pos[i][:, 0]))

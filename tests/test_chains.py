@@ -22,6 +22,7 @@ from qsd.measures import tv_distance
 from oracles import (
     brute_force_survival_ratio,
     dense_left_perron,
+    dense_right_perron,
     minimal_c_for_mu,
     nu_xy_brute,
     random_positive_chain,
@@ -147,6 +148,19 @@ def test_qsd_matches_dense_eigensolver():
         assert spec.alpha.sum() == pytest.approx(1.0, abs=1e-12)
         assert spec.eta.max() == pytest.approx(1.0, abs=1e-12)
         assert (spec.eta > 0).all()
+
+
+def test_dense_256_chain_with_one_zero_entry_is_primitive():
+    # Q^2 > 0, but 256 positive paths wrap a uint8 pattern product to zero
+    q = random_positive_chain(np.random.default_rng(256), 256)
+    q[0, 1] = 0.0
+    chain = FiniteAbsorbedChain(q)
+    assert is_primitive(chain)
+    spec = qsd_spectral(chain)
+    alpha_oracle, perron_oracle = dense_left_perron(q)
+    assert tv_distance(spec.alpha, alpha_oracle) < 1e-9
+    assert spec.perron == pytest.approx(perron_oracle, abs=1e-11)
+    assert np.abs(spec.eta - dense_right_perron(q)).max() < 1e-9
 
 
 def test_non_primitive_raises():

@@ -85,6 +85,17 @@ def test_finite_verify_cli_passes(tmp_path, capsys):
     assert all(line.count(",") == 6 for line in csv[1:])
 
 
+def test_relative_chain_path_resolves_against_config_dir(tmp_path, monkeypatch):
+    cfg_dir = tmp_path / "cfgs"
+    cfg_dir.mkdir()
+    write(cfg_dir, "sym2.chain", SYM2_TEXT)
+    finite_cfg(cfg_dir, "sym2.chain")
+    monkeypatch.chdir(tmp_path)
+    assert main(["finite-verify", "--config", "cfgs/fv.cfg", "--out", "out1"]) == 0
+    bundled = ROOT / "configs" / "finite_verify_sym2.cfg"
+    assert main(["finite-verify", "--config", str(bundled), "--out", "out2"]) == 0
+
+
 def test_cli_rejects_unknown_kind(tmp_path, capsys):
     chain = write(tmp_path, "sym2.chain", SYM2_TEXT)
     cfg = finite_cfg(tmp_path, chain)

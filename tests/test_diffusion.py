@@ -10,8 +10,10 @@ from qsd.models import (
     build_model,
     validate_model,
 )
+from qsd.rng import step_generator
 from qsd.simulate import (
     PathConfig,
+    _step,
     hitting_before,
     simulate_path,
     split_survival_profile,
@@ -22,10 +24,10 @@ from qsd.simulate import (
 from oracles import reflection_survival, survival_series
 
 
-def frozen_model(lo=0.0, hi=1.0):
+def frozen_model(domain=Interval(0.0, 1.0)):
     """Zero drift, zero diffusion: nothing ever moves or dies."""
     return DiffusionModel(
-        domain=Interval(lo, hi),
+        domain=domain,
         drift=ZeroDrift(),
         diffusion=ConstantIsotropic(0.0),
         sigma_min2=0.0,
@@ -208,6 +210,10 @@ def test_split_profile_matches_plain_mc_at_moderate_t():
     logp, logse = split_survival_profile(model, xs, [0.5], 10_000, 71, dt=1e-3, window=0.25)
     plain, se = survival_probability(model, [0.5], 0.5, 40_000, 72, dt=1e-3)
     assert abs(np.exp(logp[0, 1]) - plain) <= 4 * (np.exp(logp[0, 1]) * logse[0, 1] + se)
+    # starts share the step noise: the first start alone gives the same column
+    one, one_se = split_survival_profile(model, xs[:1], [0.5], 10_000, 71, dt=1e-3, window=0.25)
+    assert np.array_equal(one[:, 0], logp[:, 0])
+    assert np.array_equal(one_se[:, 0], logse[:, 0])
 
 
 def test_split_profile_reaches_deep_tails():
@@ -232,3 +238,50 @@ def test_blowup_detection():
     )
     with pytest.raises(NumericalBlowupError):
         simulate_path(bad, [0.5], PathConfig(dt=1e-2, horizon=0.1, seed=1))
+
+
+# --- step kernel --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bridge", [True, False])
+@pytest.mark.parametrize(
+    "specs",
+    [
+        ("interval 0 3.141592653589793", "zero", "constant 1.0"),
+        ("box 0 0 1 2", "linear -0.5 0.5 1", "diagonal_holder 1.0 0.3 0.5 0.5 1.0"),
+        ("ball 0 0 1", "zero", "constant 1.0"),
+    ],
+)
+def test_step_stack_equals_separate_calls(specs, bridge):
+    model = build_model(*specs)
+    xs = model.domain.uniform(np.random.default_rng(5), 3 * 40).reshape(3, 40, model.dim)
+    xs[1, 7] = np.nan  # a dead row, as split_survival_profile keeps them
+    x_new, alive = _step(model, xs, step_generator(9, 4), 0.01, bridge)
+    assert alive.shape == (3, 40)
+    assert alive.any() and not alive.all()
+    for i in range(3):
+        xi, ai = _step(model, xs[i], step_generator(9, 4), 0.01, bridge)
+        assert np.array_equal(x_new[i], xi, equal_nan=True)
+        assert np.array_equal(alive[i], ai)
+
+
+@pytest.mark.parametrize(
+    "domain,points",
+    [
+        (Interval(0.0, 1.0), [[0.0], [1.0], [0.5], [5e-324], [-0.1], [1.2], [np.nan], [np.inf], [-np.inf]]),
+        (
+            Box((0.0, 0.0), (1.0, 2.0)),
+            [[0.0, 1.0], [1.0, 2.0], [0.5, 2.0], [0.5, 1.0], [1.5, 1.0], [np.nan, 1.0], [0.5, np.inf]],
+        ),
+        (
+            Ball((0.0, 0.0), 1.0),
+            [[1.0, 0.0], [0.0, -1.0], [0.6, 0.8], [0.0, 0.0], [2.0, 0.0], [np.nan, 0.0], [-np.inf, 0.0]],
+        ),
+    ],
+)
+def test_step_alive_is_open_domain_membership(domain, points):
+    x = np.array(points)
+    x_new, alive = _step(frozen_model(domain), x, step_generator(1, 0), 0.01, False)
+    assert np.array_equal(x_new, x, equal_nan=True)  # boundary points stay on the boundary
+    assert np.array_equal(alive, domain.contains(x_new))
+    assert alive.any() and not alive.all()
