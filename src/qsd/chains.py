@@ -5,6 +5,11 @@ from each row is sent to the cemetery.  Everything here is exact (up to
 floating point): conditioned evolution, quasi-stationary spectra,
 two-sided-estimate certificates, and the minorization objects built from
 infimum measures.
+
+Each chain caches what depends on its kernel alone: the primitivity
+verdict, the Perron data of `qsd_spectral` and the read-only matrix powers
+of `power`.  The cache lives on the instance and dies with it; a
+`PrimitivityError` is raised again on every call, never stored.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ class FiniteAbsorbedChain:
 
     kernel: np.ndarray = field(repr=False)
     dt: float = 1.0
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         q = np.asarray(self.kernel, dtype=float)
@@ -78,9 +84,15 @@ class FiniteAbsorbedChain:
         return 1.0 - self.kernel.sum(axis=1)
 
     def power(self, t: int) -> np.ndarray:
+        """Q^t, computed once per t and returned read-only."""
         if t < 0:
             raise ValueError("negative power")
-        return np.linalg.matrix_power(self.kernel, t)
+        p = self._cache.get(("power", t))
+        if p is None:
+            p = np.linalg.matrix_power(self.kernel, t)
+            p.flags.writeable = False
+            self._cache[("power", t)] = p
+        return p
 
 
 def parse_chain_text(text: str, dt: float = 1.0) -> FiniteAbsorbedChain:
@@ -134,7 +146,13 @@ def load_chain(path, dt: float = 1.0) -> FiniteAbsorbedChain:
 
 
 def is_primitive(chain: FiniteAbsorbedChain) -> bool:
-    """Primitivity via boolean matrix squaring up to exponent >= n^2."""
+    """Primitivity via boolean matrix squaring up to exponent >= n^2 (cached per chain)."""
+    if "primitive" not in chain._cache:
+        chain._cache["primitive"] = _is_primitive(chain)
+    return chain._cache["primitive"]
+
+
+def _is_primitive(chain: FiniteAbsorbedChain) -> bool:
     b = chain.kernel > 0
     if b.all():
         return True
@@ -161,7 +179,8 @@ class SpectralData:
     alpha: quasi-stationary distribution (left Perron vector, mass 1);
     eta: survival eigenfunction (right Perron vector, sup-norm 1);
     lambda0 = -ln(perron)/dt; second_modulus: largest non-Perron
-    eigenvalue modulus (None when n exceeds the dense-eig cap).
+    eigenvalue modulus (None when n exceeds the dense-eig cap);
+    iterations: power-iteration steps taken (0 on the dense path).
     """
 
     alpha: np.ndarray
@@ -177,14 +196,55 @@ def qsd_spectral(
     tol: float = POWER_TOL,
     max_iter: int = POWER_MAX_ITER,
 ) -> SpectralData:
-    """Left/right Perron vectors by renormalized power iteration."""
+    """Left/right Perron vectors, Perron value and second eigenvalue modulus.
+
+    For n <= DENSE_EIG_MAX_N the vectors are dense eigenvectors of Q and Q^T
+    for the eigenvalue of largest real part; beyond the cap they come from
+    renormalized power iteration, the only path `tol` and `max_iter` apply
+    to.  perron is the Rayleigh quotient alpha Q eta / alpha eta.  Cached
+    on the chain, with read-only vectors.
+    """
     if not is_primitive(chain):
         raise PrimitivityError(
             "kernel is not primitive; quasi-stationary distribution may be non-unique"
         )
+    key = ("spectral", tol, max_iter)
+    if key in chain._cache:
+        return chain._cache[key]
     q = chain.kernel
     n = chain.n
+    if n <= DENSE_EIG_MAX_N:
+        w, right = np.linalg.eig(q)
+        eta = np.abs(right[:, np.argmax(w.real)].real)
+        eta /= eta.max()
+        wl, left = np.linalg.eig(q.T)
+        alpha = np.abs(left[:, np.argmax(wl.real)].real)
+        alpha /= alpha.sum()
+        mods = np.sort(np.abs(w))[::-1]
+        second = float(mods[1]) if n > 1 else 0.0
+        iterations = 0
+    else:
+        alpha, eta, iterations = _power_iteration(q, tol, max_iter)
+        second = None
+    perron = float(alpha @ q @ eta) / float(alpha @ eta)
+    alpha.flags.writeable = eta.flags.writeable = False  # shared by every caller
+    spec = SpectralData(
+        alpha=alpha,
+        perron=perron,
+        lambda0=-float(np.log(perron)) / chain.dt,
+        eta=eta,
+        second_modulus=second,
+        iterations=iterations,
+    )
+    chain._cache[key] = spec
+    return spec
 
+
+def _power_iteration(
+    q: np.ndarray, tol: float, max_iter: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """(alpha, eta, iterations) by renormalized power iteration on q and q^T."""
+    n = q.shape[0]
     alpha = np.full(n, 1.0 / n)
     it_a = 0
     for it_a in range(1, max_iter + 1):
@@ -208,20 +268,7 @@ def qsd_spectral(
         eta = nxt
     else:
         raise IterationLimitError(f"right power iteration: no convergence in {max_iter}")
-
-    perron = float(alpha @ q @ eta) / float(alpha @ eta)
-    second = None
-    if n <= DENSE_EIG_MAX_N:
-        mods = np.sort(np.abs(np.linalg.eigvals(q)))[::-1]
-        second = float(mods[1]) if n > 1 else 0.0
-    return SpectralData(
-        alpha=alpha,
-        perron=perron,
-        lambda0=-float(np.log(perron)) / chain.dt,
-        eta=eta,
-        second_modulus=second,
-        iterations=max(it_a, it_e),
-    )
+    return alpha, eta, max(it_a, it_e)
 
 
 def evolve_conditioned(
@@ -248,6 +295,20 @@ def evolve_conditioned(
         d = d / step_mass
         log_mass += float(np.log(step_mass))
     return d, float(np.exp(log_mass))
+
+
+def _conditioned_tv(
+    chain: FiniteAbsorbedChain, laws: np.ndarray, pairs: np.ndarray, t_max: int
+) -> np.ndarray:
+    """TV distance between the conditioned laws evolved from laws[i] and
+    laws[j] for every row (i, j) of `pairs`, at t = 0..t_max: (len(pairs), t_max + 1)."""
+    d = laws
+    tvs = np.empty((len(pairs), t_max + 1))
+    for t in range(t_max + 1):
+        tvs[:, t] = np.abs(d[pairs[:, 0]] - d[pairs[:, 1]]).sum(axis=1)
+        d = d @ chain.kernel
+        d /= d.sum(axis=1, keepdims=True)
+    return tvs
 
 
 @dataclass(frozen=True)
@@ -334,8 +395,11 @@ def verify_theorem_2_1(
           initial laws, all t <= t_max;
     (iv) discrete second-gap transcription: every non-Perron eigenvalue
          theta of Q^t0 has |theta| <= perron^t0 (1 - c^-5 mu(f)).
-    Failures are recorded in the report, never raised.
+    Failures are recorded in the report, never raised; n_pairs < 1 is a
+    ValueError, since check (iii) would then have no evidence.
     """
+    if n_pairs < 1:
+        raise ValueError("n_pairs must be >= 1")
     rep = VerificationReport(title=f"theorem-2.1 checks (t0={cert.t0}, c={cert.c:.6g})")
     spec = qsd_spectral(chain)
     c, mu, f = cert.c, cert.mu, cert.f
@@ -350,24 +414,12 @@ def verify_theorem_2_1(
 
     rate = cert.contraction_factor
     g = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    worst_gap = np.inf
-    for _ in range(n_pairs):
-        pi1 = g.exponential(size=chain.n)
-        pi1 /= pi1.sum()
-        pi2 = g.exponential(size=chain.n)
-        pi2 /= pi2.sum()
-        d1, d2 = pi1, pi2
-        denom = max(float(pi1 @ f), float(pi2 @ f))
-        base = tv_distance(pi1, pi2) / denom
-        for t in range(0, t_max + 1):
-            lhs = tv_distance(d1, d2)
-            rhs = c**3 * rate ** (t // cert.t0) * base
-            worst_gap = min(worst_gap, rhs - lhs)
-            d1 = d1 @ chain.kernel
-            d1 /= d1.sum()
-            d2 = d2 @ chain.kernel
-            d2 /= d2.sum()
-    rep.check_ge("tv-contraction-margin", float(worst_gap), 0.0, tol=tol)
+    laws = g.exponential(size=(2 * n_pairs, chain.n))  # pi1, pi2 of each pair in turn
+    laws /= laws.sum(axis=1, keepdims=True)
+    tvs = _conditioned_tv(chain, laws, np.arange(2 * n_pairs).reshape(-1, 2), t_max)
+    base = tvs[:, :1] / (laws @ f).reshape(-1, 2).max(axis=1, keepdims=True)
+    rhs = c**3 * rate ** (np.arange(t_max + 1) // cert.t0) * base
+    rep.check_ge("tv-contraction-margin", float((rhs - tvs).min()), 0.0, tol=tol)
 
     mods = np.sort(np.abs(np.linalg.eigvals(p)))[::-1]
     second = float(mods[1]) if chain.n > 1 else 0.0
@@ -409,23 +461,34 @@ def survival_ratio(
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     pi = np.asarray(pi, dtype=float)
-    v = np.ones(chain.n)
-    vals = np.empty(horizon + 1)
-    for t in range(horizon + 1):
-        vals[t] = float(pi @ v) / float(v.max())
-        v = chain.kernel @ v
-        v /= v.max()
+    vals, limits = _survival_ratios(chain, pi[None, :], horizon)
+    vals = vals[0]
     grid_min = float(vals.min())
     grid_argmin = int(vals.argmin())
     monotone = bool((np.diff(vals) <= 1e-14).all())
-    try:
-        spec = qsd_spectral(chain)
-        limit = float(pi @ spec.eta) / float(spec.eta.max())
-    except PrimitivityError:
+    if limits is None:
         return SurvivalRatioResult(grid_min, grid_min, grid_argmin, None, monotone)
+    limit = float(limits[0])
     return SurvivalRatioResult(
         min(grid_min, limit), grid_min, grid_argmin, limit, monotone
     )
+
+
+def _survival_ratios(
+    chain: FiniteAbsorbedChain, laws: np.ndarray, horizon: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Ratios c_t(pi) for every row pi of `laws` and t = 0..horizon, (m, horizon + 1),
+    and their limits pi(eta)/||eta||_inf (None when the chain is not primitive)."""
+    v = np.ones(chain.n)
+    vals = np.empty((len(laws), horizon + 1))
+    for t in range(horizon + 1):
+        vals[:, t] = (laws @ v) / v.max()
+        v = chain.kernel @ v
+        v /= v.max()
+    if not is_primitive(chain):
+        return vals, None
+    eta = qsd_spectral(chain).eta
+    return vals, (laws @ eta) / eta.max()
 
 
 def infimum_measure(chain: FiniteAbsorbedChain, x: int, y: int, t: int) -> Measure:
@@ -434,9 +497,15 @@ def infimum_measure(chain: FiniteAbsorbedChain, x: int, y: int, t: int) -> Measu
     return Measure(chain.support, np.minimum(p[x], p[y]))
 
 
-def _pair_min_masses(p2: np.ndarray) -> np.ndarray:
-    """mass of the infimum measure for every state pair: (n, n)."""
-    return np.minimum(p2[:, None, :], p2[None, :, :]).sum(axis=2)
+def _pair_nu_raw(pK: np.ndarray, wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
+    """Unnormalized nu for every row pair of wx (a, |K|) and wy (b, |K|): (a, b, n).
+
+    raw[x, y] = sum_{u, v in K} wx[x, u] wy[y, v] min(pK[u], pK[v]), where
+    pK holds the 2*t1-step rows of K; one tensordot contracts u and one
+    batched matmul contracts v, O(a |K|^2 n + a b |K| n) in all.
+    """
+    mins = np.minimum(pK[:, None, :], pK[None, :, :])  # (|K|, |K|, n)
+    return wy @ np.tensordot(wx, mins, axes=(1, 0))
 
 
 def build_nu_xy(
@@ -458,11 +527,8 @@ def build_nu_xy(
     if K.size == 0:
         raise ValueError("K must be nonempty")
     p2 = chain.power(2 * t1)
-    cond = p2 / p2.sum(axis=1, keepdims=True)
-    wx = cond[x][K]
-    wy = cond[y][K]
-    mins = np.minimum(p2[K][:, None, :], p2[K][None, :, :])  # (|K|, |K|, n)
-    nu_raw = np.einsum("u,v,uvk->k", wx, wy, mins)
+    w = (p2 / p2.sum(axis=1, keepdims=True))[:, K]
+    nu_raw = _pair_nu_raw(p2[K], w[[x]], w[[y]])[0, 0]
     m = float(nu_raw.sum())
     if m <= 0:
         raise EmptyOverlapError(
@@ -508,30 +574,26 @@ def check_condition_A_prime(
     cond2 = p2 / p2.sum(axis=1, keepdims=True)
     A = float(cond2[:, K].sum(axis=1).min())
 
-    pair_mass = _pair_min_masses(p2[K])  # infimum masses over K x K
-    nus = np.empty((n, n, n))
-    masses = np.empty((n, n))
-    mins = np.minimum(p2[K][:, None, :], p2[K][None, :, :])
-    for x in range(n):
-        for y in range(n):
-            raw = np.einsum("u,v,uvk->k", cond2[x][K], cond2[y][K], mins)
-            m = raw.sum()
-            if m <= 0:
-                raise EmptyOverlapError(f"nu_({x},{y}) has zero mass")
-            masses[x, y] = m
-            nus[x, y] = raw / m
+    pK = p2[K]
+    pair_mass = np.minimum(pK[:, None, :], pK[None, :, :]).sum(axis=2)  # infimum masses over K x K
+    W = cond2[:, K]
+    raw = _pair_nu_raw(pK, W, W)  # raw[x, y] = m_{x,y} nu_{x,y}
+    masses = raw.sum(axis=2)
+    empty = np.argwhere(masses <= 0)
+    if empty.size:
+        x, y = empty[0]
+        raise EmptyOverlapError(f"nu_({x},{y}) has zero mass")
     c1 = float(masses.min())
+    # minorization of both conditioned laws at t0 = 4 t1 by m_{x,y} nu_{x,y} = raw[x, y]
+    p4 = chain.power(4 * t1)
+    cond4 = p4 / p4.sum(axis=1, keepdims=True)
+    worst = min(float((cond4[:, None, :] - raw).min()), float((cond4[None, :, :] - raw).min()))
+    raw /= masses[:, :, None]  # now raw[x, y] = nu_{x,y}
 
-    spec = qsd_spectral(chain)
-    c2 = np.inf
-    v = np.ones(n)
-    for _ in range(horizon + 1):
-        ratios = (nus @ v) / v.max()
-        c2 = min(c2, float(ratios.min()))
-        v = chain.kernel @ v
-        v /= v.max()
-    limit = float((nus @ spec.eta).min() / spec.eta.max())
-    c2 = min(c2, limit)
+    # nu_{x,y} = nu_{y,x} (swap u and v in the double sum): pairs x <= y suffice
+    vals, limits = _survival_ratios(chain, raw[np.triu_indices(n)], horizon)
+    c2 = min(float(vals.min()), float(limits.min()))
+    del raw, vals  # n^3 + n^2 (horizon + 1) / 2 floats the TV loop below does not need
 
     rep = VerificationReport(title=f"condition (A') checks (t1={t1}, t0={4 * t1})")
     rep.add_info("A-return-probability", A)
@@ -544,31 +606,11 @@ def check_condition_A_prime(
         tol=tol,
     )
     rep.check_le("contraction-factor", 1.0 - c1 * c2, 1.0 - tol, tol=0.0)
-
-    # minorization of both conditioned laws at t0 = 4 t1 by m_{x,y} nu_{x,y}
-    p4 = chain.power(4 * t1)
-    cond4 = p4 / p4.sum(axis=1, keepdims=True)
-    worst = np.inf
-    for x in range(n):
-        for y in range(n):
-            bound = masses[x, y] * nus[x, y]
-            worst = min(
-                worst,
-                float((cond4[x] - bound).min()),
-                float((cond4[y] - bound).min()),
-            )
     rep.check_ge("a1-prime-minorization-margin", worst, 0.0, tol=tol)
 
     rate = 1.0 - c1 * c2
     t0 = 4 * t1
-    rows = np.eye(n)
-    worst_gap = np.inf
-    for t in range(horizon + 1):
-        if t > 0:
-            rows = rows @ chain.kernel
-            rows = rows / rows.sum(axis=1, keepdims=True)
-        bound = 2.0 * rate ** (t // t0)
-        diffs = np.abs(rows[:, None, :] - rows[None, :, :]).sum(axis=2)
-        worst_gap = min(worst_gap, float((bound - diffs).min()))
+    tvs = _conditioned_tv(chain, np.eye(n), np.transpose(np.triu_indices(n)), horizon)
+    worst_gap = float((2.0 * rate ** (np.arange(horizon + 1) // t0) - tvs).min())
     rep.check_ge("tv-decay-margin", worst_gap, 0.0, tol=tol)
     return ConditionAPrimeResult(c1=c1, c2=c2, A=A, t0=t0, report=rep)

@@ -65,7 +65,7 @@ def run_finite_verify(cfg: ExperimentConfig, out: str, seed: int):
     report = ch.verify_theorem_2_1(
         chain,
         cert,
-        n_pairs=cfg.get_int("params", "n_pairs", 10),
+        n_pairs=cfg.positive(cfg.get_int("params", "n_pairs", 10), "params", "n_pairs"),
         t_max=cfg.get_int("params", "t_max", 50),
         seed=seed,
     )
@@ -289,13 +289,11 @@ def run_decay_report(cfg: ExperimentConfig, out: str, seed: int):
     if cfg.get_str("model", "chain", None) is not None:
         chain = _load_chain(cfg)
         t0 = cfg.get_int("params", "t0")
+        n_pairs = cfg.positive(cfg.get_int("params", "n_pairs", 5), "params", "n_pairs")
         cert = ch.fit_two_sided(chain, t0)
         g = np.random.Generator(np.random.Philox(key=np.array([seed, 77], dtype=np.uint64)))
-        pairs = []
-        for _ in range(cfg.get_int("params", "n_pairs", 5)):
-            p1 = g.exponential(size=chain.n)
-            p2 = g.exponential(size=chain.n)
-            pairs.append((p1 / p1.sum(), p2 / p2.sum()))
+        pairs = g.exponential(size=(n_pairs, 2, chain.n))
+        pairs /= pairs.sum(axis=2, keepdims=True)
         report = certs.decay_report_chain(
             chain, cert, pairs, cfg.get_int("params", "t_max", 60)
         )

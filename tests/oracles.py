@@ -96,15 +96,61 @@ def minimal_c_for_mu(P: np.ndarray, mu: np.ndarray, c_grid: np.ndarray) -> float
     return float("inf")
 
 
-def brute_force_survival_ratio(Q: np.ndarray, pi: np.ndarray, horizon: int) -> float:
-    """min over t <= horizon of pi(Q^t 1)/max(Q^t 1), max-renormalized."""
+def survival_ratio_series(Q: np.ndarray, pi: np.ndarray, horizon: int) -> np.ndarray:
+    """pi(Q^t 1)/max(Q^t 1) for t = 0..horizon, max-renormalized, one law at a time."""
     v = np.ones(Q.shape[0])
-    best = np.inf
+    vals = []
     for _ in range(horizon + 1):
-        best = min(best, float(pi @ v) / float(v.max()))
+        vals.append(float(pi @ v) / float(v.max()))
         v = Q @ v
         v = v / v.max()
-    return best
+    return np.array(vals)
+
+
+def brute_force_survival_ratio(Q: np.ndarray, pi: np.ndarray, horizon: int) -> float:
+    """min over t <= horizon of pi(Q^t 1)/max(Q^t 1), max-renormalized."""
+    return float(survival_ratio_series(Q, pi, horizon).min())
+
+
+def conditioned_tv_series(Q: np.ndarray, pi1, pi2, t_max: int) -> np.ndarray:
+    """Unhalved TV between conditioned pi1 Q^t and pi2 Q^t, t = 0..t_max, one pair at a time."""
+    d1, d2 = np.asarray(pi1, dtype=float), np.asarray(pi2, dtype=float)
+    tvs = []
+    for _ in range(t_max + 1):
+        tvs.append(float(np.abs(d1 - d2).sum()))
+        d1 = d1 @ Q
+        d1 = d1 / d1.sum()
+        d2 = d2 @ Q
+        d2 = d2 / d2.sum()
+    return np.array(tvs)
+
+
+def condition_A_prime_brute(Q: np.ndarray, K, t1: int, horizon: int) -> tuple[float, float, float]:
+    """(c1', c2', A) of condition (A') by an explicit double loop over state pairs.
+
+    nu_{x,y} is built pair by pair; c2' is the survival-ratio minimum over
+    every pair and t <= horizon, floored by its limit from the dense right
+    Perron vector.
+    """
+    n = Q.shape[0]
+    K = np.asarray(K)
+    P2 = np.linalg.matrix_power(Q, 2 * t1)
+    cond2 = P2 / P2.sum(axis=1, keepdims=True)
+    A = float(cond2[:, K].sum(axis=1).min())
+    mins = np.minimum(P2[K][:, None, :], P2[K][None, :, :])
+    masses = np.empty((n, n))
+    nus = np.empty((n, n, n))
+    for x in range(n):
+        for y in range(n):
+            raw = np.einsum("u,v,uvk->k", cond2[x][K], cond2[y][K], mins)
+            masses[x, y] = raw.sum()
+            nus[x, y] = raw / masses[x, y]
+    eta = dense_right_perron(Q)
+    c2 = min(
+        min(survival_ratio_series(Q, nus[x, y], horizon).min() for x in range(n) for y in range(n)),
+        float((nus @ eta).min() / eta.max()),
+    )
+    return float(masses.min()), float(c2), A
 
 
 def nu_xy_brute(Q: np.ndarray, K, t1: int, x: int, y: int, f: np.ndarray) -> tuple[float, float]:

@@ -134,6 +134,13 @@ def test_decay_report_chain_sym2_all_bounds_hold():
     assert gamma_emp == pytest.approx(np.log(3.0), abs=1e-5)  # TV contracts by 1/3
 
 
+def test_decay_report_chain_rejects_empty_pairs():
+    # with no pairs both margins are empty minima, +inf, a vacuous pass
+    chain = FiniteAbsorbedChain(SYM2)
+    with pytest.raises(ValueError):
+        decay_report_chain(chain, fit_two_sided(chain, 1), [], 40)
+
+
 def test_decay_report_random_chains_rate_dominates():
     rng = np.random.default_rng(100)
     for trial in range(20):

@@ -4,10 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsd.chains import (
+    POWER_MAX_ITER,
+    POWER_TOL,
     ChainFormatError,
     FiniteAbsorbedChain,
     NoCertificateError,
     PrimitivityError,
+    _conditioned_tv,
+    _power_iteration,
+    _survival_ratios,
     build_nu_xy,
     evolve_conditioned,
     fit_two_sided,
@@ -21,11 +26,13 @@ from qsd.measures import tv_distance
 
 from oracles import (
     brute_force_survival_ratio,
+    conditioned_tv_series,
     dense_left_perron,
     dense_right_perron,
     minimal_c_for_mu,
     nu_xy_brute,
     random_positive_chain,
+    survival_ratio_series,
 )
 
 SYM2 = np.array([[0.4, 0.2], [0.2, 0.4]])
@@ -165,9 +172,50 @@ def test_dense_256_chain_with_one_zero_entry_is_primitive():
 
 def test_non_primitive_raises():
     q = np.array([[0.0, 0.9], [0.9, 0.0]])  # period 2
-    assert not is_primitive(FiniteAbsorbedChain(q))
-    with pytest.raises(PrimitivityError):
-        qsd_spectral(FiniteAbsorbedChain(q))
+    chain = FiniteAbsorbedChain(q)
+    assert not is_primitive(chain)
+    for _ in range(2):  # the error is raised on every call, never cached away
+        with pytest.raises(PrimitivityError):
+            qsd_spectral(chain)
+
+
+def _band(n):
+    """Lazy random walk killed at both ends: slow mixing, many power iterations."""
+    return 0.995 * (0.5 * np.eye(n) + 0.25 * (np.eye(n, k=1) + np.eye(n, k=-1)))
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        random_positive_chain(np.random.default_rng(5), 5),
+        random_positive_chain(np.random.default_rng(40), 40),
+        _band(80),
+    ],
+    ids=["dense5", "dense40", "band80"],
+)
+def test_dense_path_agrees_with_power_iteration(q):
+    spec = qsd_spectral(FiniteAbsorbedChain(q))
+    assert spec.iterations == 0
+    alpha, eta, iterations = _power_iteration(q, POWER_TOL, POWER_MAX_ITER)
+    assert iterations > 0
+    assert np.abs(spec.alpha - alpha).max() < 1e-10
+    assert np.abs(spec.eta - eta).max() < 1e-10
+    assert np.abs(spec.alpha @ q - spec.perron * spec.alpha).max() <= 1e-13
+    assert np.abs(q @ spec.eta - spec.perron * spec.eta).max() <= 1e-13
+
+
+def test_spectral_data_and_powers_are_cached_per_chain():
+    q = random_positive_chain(np.random.default_rng(8), 6)
+    chain = FiniteAbsorbedChain(q)
+    assert qsd_spectral(chain) is qsd_spectral(chain)
+    p = chain.power(3)
+    assert chain.power(3) is p
+    assert np.array_equal(p, np.linalg.matrix_power(q, 3))
+    assert not p.flags.writeable
+    with pytest.raises(ValueError):
+        p[0, 0] = 1.0
+    # a fresh chain on the same kernel starts with an empty cache
+    assert qsd_spectral(FiniteAbsorbedChain(q)) is not qsd_spectral(chain)
 
 
 def test_qsd_fixed_point_and_survival_identity(sym2):
@@ -262,6 +310,34 @@ def test_survival_ratio_matches_brute_force():
             brute_force_survival_ratio(q, pi, 10_000), abs=1e-12
         )
         assert res.c == min(res.grid_min, res.limit)
+
+
+def test_batched_survival_ratios_match_per_law_loop():
+    rng = np.random.default_rng(19)
+    q = random_positive_chain(rng, 6, 0.8)
+    chain = FiniteAbsorbedChain(q)
+    laws = rng.exponential(size=(4, 6))
+    laws /= laws.sum(axis=1, keepdims=True)
+    vals, limits = _survival_ratios(chain, laws, 80)
+    assert vals.shape == (4, 81)
+    eta = dense_right_perron(q)
+    for pi, row, lim in zip(laws, vals, limits):
+        assert np.allclose(row, survival_ratio_series(q, pi, 80), rtol=1e-13, atol=0)
+        assert lim == pytest.approx(float(pi @ eta) / eta.max(), abs=1e-12)
+    periodic = FiniteAbsorbedChain(np.array([[0.0, 0.9], [0.9, 0.0]]))
+    assert _survival_ratios(periodic, np.eye(2), 5)[1] is None
+
+
+def test_batched_conditioned_tv_matches_per_pair_loop():
+    rng = np.random.default_rng(21)
+    q = random_positive_chain(rng, 6, 0.85)
+    laws = rng.exponential(size=(4, 6))
+    laws /= laws.sum(axis=1, keepdims=True)
+    pairs = np.array([[0, 1], [2, 3], [3, 0], [1, 1]])
+    tvs = _conditioned_tv(FiniteAbsorbedChain(q), laws, pairs, 40)
+    assert tvs.shape == (4, 41)
+    for (i, j), row in zip(pairs, tvs):
+        assert np.allclose(row, conditioned_tv_series(q, laws[i], laws[j], 40), rtol=0, atol=1e-15)
 
 
 def test_survival_ratio_non_primitive_flag():

@@ -258,6 +258,21 @@ n_pairs = 3
     assert "gamma-emp" in (out / "report.txt").read_text()
 
 
+@pytest.mark.parametrize("kind", ["finite-verify", "decay-report"])
+@pytest.mark.parametrize("n_pairs", [0, -1])
+def test_chain_kinds_reject_no_pairs(tmp_path, capsys, kind, n_pairs):
+    # with no pairs the TV checks would pass at an empty minimum of +inf
+    chain = write(tmp_path, "sym2.chain", SYM2_TEXT)
+    cfg = write(
+        tmp_path,
+        "np.cfg",
+        f"[experiment]\nkind = {kind}\nseed = 5\n\n[model]\nchain = {chain}\n\n"
+        f"[params]\nt0 = 1\nt_max = 20\nn_pairs = {n_pairs}\n",
+    )
+    assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "'n_pairs'" in capsys.readouterr().err
+
+
 def test_scale1d_cli(tmp_path):
     cfg = write(
         tmp_path,

@@ -11,7 +11,7 @@ from qsd.chains import (
 )
 from qsd.measures import tv_distance
 
-from oracles import random_positive_chain
+from oracles import condition_A_prime_brute, random_positive_chain
 
 SYM2 = np.array([[0.4, 0.2], [0.2, 0.4]])
 
@@ -62,6 +62,29 @@ def test_mass_bound_eq_3_12():
         for y in range(4):
             _, m = build_nu_xy(chain, K, 1, x, y)
             assert m >= A**2 * inf_mass - 1e-12
+
+
+@pytest.mark.parametrize("t1", [1, 2])
+@pytest.mark.parametrize("K", [None, [0, 2, 3]], ids=["K=E", "K-subset"])
+def test_constants_match_double_loop_oracle(t1, K):
+    rng = np.random.default_rng(1000 + t1)
+    for _ in range(3):
+        q = random_positive_chain(rng, 6, float(rng.uniform(0.6, 0.95)))
+        k = np.arange(6) if K is None else np.array(K)
+        res = check_condition_A_prime(FiniteAbsorbedChain(q), k, t1, horizon=60)
+        c1, c2, A = condition_A_prime_brute(q, k, t1, 60)
+        assert res.c1 == pytest.approx(c1, rel=1e-12)
+        assert res.c2 == pytest.approx(c2, rel=1e-12)
+        assert res.A == pytest.approx(A, rel=1e-12)
+
+
+def test_c1_is_min_of_nu_xy_masses():
+    rng = np.random.default_rng(31)
+    chain = FiniteAbsorbedChain(random_positive_chain(rng, 5, 0.85))
+    K = np.array([1, 3, 4])
+    res = check_condition_A_prime(chain, K, 1, horizon=30)
+    masses = [build_nu_xy(chain, K, 1, x, y)[1] for x in range(5) for y in range(5)]
+    assert min(masses) == pytest.approx(res.c1, rel=1e-12)
 
 
 def test_subset_K_still_certifies():

@@ -89,3 +89,12 @@ def test_max_survival_ratio_improvement_on_asymmetric_chain():
                 d2 = d2 @ chain.kernel
                 d2 /= d2.sum()
     assert found_strict
+
+
+def test_no_pairs_is_an_error():
+    # with no pairs the TV-contraction margin is an empty minimum, +inf, a vacuous pass
+    chain = FiniteAbsorbedChain(SYM2)
+    cert = fit_two_sided(chain, 1)
+    for n_pairs in (0, -3):
+        with pytest.raises(ValueError):
+            verify_theorem_2_1(chain, cert, n_pairs=n_pairs)
