@@ -26,7 +26,12 @@ from .models import DiffusionModel
 from .particles import conditioned_law_series, domain_grid
 from .report import VerificationReport
 from .rng import stream_generator, substream
-from .simulate import split_survival_profile, survival_snapshots, tube_probability
+from .simulate import (
+    hitting_before,
+    split_survival_profile,
+    survival_snapshots,
+    tube_probability,
+)
 
 
 class NoMinorizationError(RuntimeError):
@@ -140,6 +145,35 @@ def _conditioned_hist(model, x, t, n, grid, seed, *, dt):
     return hists[0], float(survs[0])
 
 
+def _grid_space(model: DiffusionModel, pts: np.ndarray) -> FiniteStateSpace:
+    """The probe grid as a metric space: Euclidean between points, and the
+    domain's boundary distance to the cemetery."""
+    return FiniteStateSpace(
+        len(pts), embedding=pts, boundary_distance=model.domain.rho_boundary(pts)
+    )
+
+
+def _grid_survival(model, pts, times, n, seed, ids, *, dt, window=0.0):
+    """Survival P_x(t < tau) and its SE from every grid point x, each of
+    shape (points, times).
+
+    `window` > 0 runs the windowed-splitting estimator on `seed` (common
+    random numbers across points); otherwise point k runs its own batch of
+    n paths on `substream(seed, *ids, k)`.
+    """
+    if window > 0:
+        logp, logse = split_survival_profile(model, pts, times, n, seed, dt=dt, window=window)
+        p = np.exp(logp.T)
+        return p, p * logse.T
+    p = np.zeros((len(pts), len(times)))
+    se = np.zeros_like(p)
+    for k, x in enumerate(pts):
+        r = survival_snapshots(model, np.tile(x, (n, 1)), times, dt, substream(seed, *ids, k))
+        p[k] = r.survival()
+        se[k] = r.standard_errors()
+    return p, se
+
+
 def estimate_A1_chain(chain: FiniteAbsorbedChain, t0: int) -> tuple[float, Measure]:
     """Exact finite-chain analog: bin-wise min over conditioned rows."""
     p = chain.power(t0)
@@ -190,19 +224,12 @@ def estimate_A2(
         cloud = cloud[inside]
         if cloud.shape[0] < max(100, n // 2):
             raise FailedA2Error("minorizing measure puts too much mass outside the domain")
-    res_nu = survival_snapshots(model, cloud, times, dt, substream(seed, 30), )
+    res_nu = survival_snapshots(model, cloud, times, dt, substream(seed, 30))
     p_nu = res_nu.survival()
     se_nu = res_nu.standard_errors()
     if (p_nu <= 0).any():
         raise FailedA2Error("zero survival from the minorizing measure on the grid")
-    pts = np.atleast_2d(points)
-    p_z = np.zeros((pts.shape[0], times.size))
-    se_z = np.zeros_like(p_z)
-    for k, x in enumerate(pts):
-        starts = np.tile(x, (n, 1))
-        r = survival_snapshots(model, starts, times, dt, substream(seed, 31, k))
-        p_z[k] = r.survival()
-        se_z[k] = r.standard_errors()
+    p_z, se_z = _grid_survival(model, np.atleast_2d(points), times, n, seed, (31,), dt=dt)
     worst = p_z.max(axis=0)
     kmax = p_z.argmax(axis=0)
     worst_hi = np.minimum(worst + z_ci * se_z[kmax, np.arange(times.size)], 1.0)
@@ -424,21 +451,6 @@ class GradientProfile:
     report: VerificationReport
 
 
-def _interval_metric(model):
-    dom = model.domain
-
-    def rho(p, q):
-        if p is CEMETERY and q is CEMETERY:
-            return 0.0
-        if p is CEMETERY:
-            return float(dom.rho_boundary(np.atleast_2d(q))[0])
-        if q is CEMETERY:
-            return float(dom.rho_boundary(np.atleast_2d(p))[0])
-        return float(np.linalg.norm(np.asarray(p) - np.asarray(q)))
-
-    return rho
-
-
 def gradient_profile(
     model: DiffusionModel,
     times,
@@ -468,40 +480,24 @@ def gradient_profile(
         raise ValueError("need one dt per time")
     windows = list(windows) if windows is not None else [0.0] * len(times)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    rho = _interval_metric(model)
-    labels = [tuple(p) for p in pts]
+    space = _grid_space(model, pts)
+    labels = list(range(len(pts))) + ([CEMETERY] if include_boundary else [])
     L = np.zeros(len(times))
     max_surv = np.zeros(len(times))
     inconclusive = np.zeros(len(times), dtype=bool)
     surv_profiles = []
     rep = VerificationReport(title="gradient profile")
     for k, t in enumerate(times):
-        sub = substream(seed, 60, k)
-        if windows[k] > 0:
-            logp, logse = split_survival_profile(
-                model, pts, [t], n, sub, dt=dts[k], window=windows[k]
-            )
-            surv = np.exp(logp[0])
-            se = surv * logse[0]
-        else:
-            res_list = []
-            for j, x in enumerate(pts):
-                starts = np.tile(x, (n, 1))
-                r = survival_snapshots(model, starts, [t], dts[k], substream(sub, j))
-                res_list.append((r.survival()[0], r.standard_errors()[0]))
-            surv = np.array([a for a, _ in res_list])
-            se = np.array([b for _, b in res_list])
+        surv, se = _grid_survival(
+            model, pts, [t], n, substream(seed, 60, k), (), dt=dts[k], window=windows[k]
+        )
+        surv, se = surv[:, 0], se[:, 0]
         surv_profiles.append(surv)
-        pts_all = list(labels)
-        vals_all = list(surv)
-        if include_boundary:
-            pts_all.append(CEMETERY)
-            vals_all.append(0.0)
-        L[k] = lipschitz_constant(pts_all, vals_all, rho)
+        # the cemetery, if a label, has survival 0
+        L[k] = lipschitz_constant(labels, np.append(surv, 0.0)[: len(labels)], space.metric)
         max_surv[k] = float(surv.max())
         diffs = np.abs(surv[:, None] - surv[None, :]).max()
-        if diffs <= 0 or se.max() > 0.2 * diffs:
-            inconclusive[k] = bool(se.max() > 0.2 * max(diffs, 1e-300))
+        inconclusive[k] = se.max() > 0.2 * max(diffs, 1e-300)
         rep.add_info(f"L[t={t:g}]", L[k], se=float(se.max()))
         rep.add_info(f"max-survival[t={t:g}]", max_surv[k])
     # sqrt(t) blowup is the small-time content; at t >= 1 the relevant
@@ -522,8 +518,7 @@ def gradient_profile(
     # time; holds by construction when the cemetery pair enters L, recorded
     # to pin the constant C = L(t1).
     k1 = int(np.argmin(times))
-    rhos = model.domain.rho_boundary(pts)
-    margin = float((L[k1] * rhos - surv_profiles[k1]).min())
+    margin = float((L[k1] * space.boundary_distance - surv_profiles[k1]).min())
     rep.check_ge("survival-below-L-rho-margin", margin, 0.0, tol=1e-12)
     return GradientProfile(
         times=np.asarray(times),
@@ -572,14 +567,11 @@ def boundary_return_constant(
     of the survival at t1 is supplied, also reports the conditioned
     return bound C'/C and checks C' <= C.
     """
-    from .simulate import hitting_before
-
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     rep = VerificationReport(title=f"boundary return (t1={t1:g})")
     ratios = np.zeros(pts.shape[0])
     lowers = np.zeros(pts.shape[0])
-    for k, x in enumerate(pts):
-        rho = float(model.domain.rho_boundary(x[None, :])[0])
+    for k, (x, rho) in enumerate(zip(pts, model.domain.rho_boundary(pts))):
         est, se = hitting_before(model, x, target, t1, n, substream(seed, 70, k), dt=dt)
         ratios[k] = est / rho
         lowers[k] = max(est - z_ci * se, 0.0) / rho
@@ -626,7 +618,7 @@ class HtProfile:
     report: VerificationReport
 
 
-def _ht_from_survival(surv, n_pts, rho_fn, metric, rep, tol=1e-12):
+def _ht_from_survival(surv, space: FiniteStateSpace, rep, tol=1e-12):
     """h_t, its maximizer, and the Lipschitz constant of h_t on grid + cemetery.
 
     h_t vanishes at the cemetery, so the cemetery pairs participate in C''
@@ -638,14 +630,13 @@ def _ht_from_survival(surv, n_pts, rho_fn, metric, rep, tol=1e-12):
     if np.allclose(h, h[0], atol=1e-12):
         rep.add_info("degenerate-flat-profile", 1.0)
         return h, z, 0.0, None, True
-    labels = list(range(n_pts)) + [CEMETERY]
+    labels = list(range(space.n)) + [CEMETERY]
     values = list(h) + [0.0]
-    c_dd = lipschitz_constant(labels, values, metric)
+    c_dd = lipschitz_constant(labels, values, space.metric)
     rep.add_info("c-double-prime", c_dd)
-    fz = np.maximum(1.0 - c_dd * np.array([metric(i, z) for i in range(n_pts)]), 0.0)
+    fz = np.maximum(1.0 - c_dd * np.array([space.metric(i, z) for i in range(space.n)]), 0.0)
     rep.check_ge("ht-minoration-margin", float((h - fz).min()), 0.0, tol=tol)
-    rho_z = rho_fn(z)
-    rep.check_ge("z-boundary-clearance", rho_z, 1.0 / c_dd, tol=tol)
+    rep.check_ge("z-boundary-clearance", space.rho_boundary(z), 1.0 / c_dd, tol=tol)
     return h, z, c_dd, 1.0 / c_dd, False
 
 
@@ -666,31 +657,10 @@ def ht_profile(
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     rep = VerificationReport(title=f"h_t profile (t={t:g})")
-    if window > 0:
-        logp, _ = split_survival_profile(model, pts, [t], n, seed, dt=dt, window=window)
-        surv = np.exp(logp[0])
-    else:
-        surv = np.zeros(pts.shape[0])
-        for j, x in enumerate(pts):
-            starts = np.tile(x, (n, 1))
-            r = survival_snapshots(model, starts, [t], dt, substream(seed, 80, j))
-            surv[j] = r.survival()[0]
+    surv = _grid_survival(model, pts, [t], n, seed, (80,), dt=dt, window=window)[0][:, 0]
     if surv.max() <= 0:
         raise ZeroDivisionError("no survival at this horizon; not resolvable")
-
-    def rho_fn(i):
-        return float(model.domain.rho_boundary(pts[i][None, :])[0])
-
-    def metric(i, j):
-        if i is CEMETERY and j is CEMETERY:
-            return 0.0
-        if i is CEMETERY:
-            return rho_fn(j)
-        if j is CEMETERY:
-            return rho_fn(i)
-        return float(np.linalg.norm(pts[i] - pts[j])) if i != j else 0.0
-
-    h, z, c_dd, thr, degen = _ht_from_survival(surv, len(pts), rho_fn, metric, rep, tol=1e-9)
+    h, z, c_dd, thr, degen = _ht_from_survival(surv, _grid_space(model, pts), rep, tol=1e-9)
     return HtProfile(
         h=h,
         z_index=z,
@@ -711,9 +681,7 @@ def ht_profile_chain(
     space = space or FiniteStateSpace(chain.n)
     surv = chain.power(t).sum(axis=1)
     rep = VerificationReport(title=f"h_t profile (chain, t={t})")
-    h, z, c_dd, thr, degen = _ht_from_survival(
-        surv, chain.n, space.rho_boundary, space.metric, rep, tol=1e-10
-    )
+    h, z, c_dd, thr, degen = _ht_from_survival(surv, space, rep, tol=1e-10)
     return HtProfile(
         h=h,
         z_index=z,

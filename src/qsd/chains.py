@@ -20,6 +20,7 @@ import numpy as np
 
 from .measures import FiniteSupport, Measure, tv_distance
 from .report import VerificationReport
+from .rng import step_generator
 
 EIG_TOL = 1e-10
 POWER_TOL = 1e-13
@@ -413,7 +414,7 @@ def verify_theorem_2_1(
     rep.check_le("a1-form-upper", float((rows - c**2 * mu[None, :]).max()), 0.0, tol=tol)
 
     rate = cert.contraction_factor
-    g = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    g = step_generator(seed, 0)
     laws = g.exponential(size=(2 * n_pairs, chain.n))  # pi1, pi2 of each pair in turn
     laws /= laws.sum(axis=1, keepdims=True)
     tvs = _conditioned_tv(chain, laws, np.arange(2 * n_pairs).reshape(-1, 2), t_max)

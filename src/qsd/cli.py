@@ -51,6 +51,8 @@ def main(argv=None) -> int:
                 f"{cfg.path}: missing required field 'seed' in [experiment] "
                 "(a master seed is mandatory; pass --seed to override)"
             )
+        if not 0 <= seed < 2**64:
+            raise ConfigError(f"{cfg.path}: seed {seed} is outside [0, 2**64)")
         out = args.out or cfg.get_str("output", "dir", "out")
         os.makedirs(out, exist_ok=True)
         report, estimation_only = RUNNERS[args.kind](cfg, out, seed)

@@ -16,6 +16,19 @@ class ConfigError(ValueError):
 _REQUIRED = object()
 
 
+def _parse_bool(text: str) -> bool:
+    val = text.lower()
+    if val in ("true", "yes", "1", "on"):
+        return True
+    if val in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(text)
+
+
+def _parse_floats(text: str) -> list[float]:
+    return [float(tok) for tok in text.replace(",", " ").split()]
+
+
 @dataclass
 class ExperimentConfig:
     path: str
@@ -52,67 +65,39 @@ class ExperimentConfig:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_text(fh.read(), path=str(path))
 
-    def _raw(self, section: str, key: str, default):
+    def _get(self, section: str, key: str, default, parse, noun: str):
+        """`parse` of the field's text, or `default` when the field is absent;
+        a ValueError from `parse` becomes a ConfigError saying the field must
+        be `noun`."""
         sec = self.sections.get(section)
         if sec is None or key not in sec:
             if default is _REQUIRED:
                 raise ConfigError(
                     f"{self.path}: missing required field {key!r} in [{section}]"
                 )
-            return None
-        return sec[key]
+            return default
+        text, lineno = sec[key]
+        try:
+            return parse(text)
+        except ValueError:
+            raise ConfigError(
+                f"{self.path}:{lineno}: field {key!r} in [{section}] must be {noun}, got {text!r}"
+            )
 
     def get_str(self, section: str, key: str, default=_REQUIRED) -> str | None:
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return default if default is not _REQUIRED else None
-        return raw[0]
+        return self._get(section, key, default, str, "a string")
 
     def get_int(self, section: str, key: str, default=_REQUIRED) -> int | None:
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return default if default is not _REQUIRED else None
-        try:
-            return int(raw[0])
-        except ValueError:
-            raise ConfigError(
-                f"{self.path}:{raw[1]}: field {key!r} in [{section}] must be an integer, got {raw[0]!r}"
-            )
+        return self._get(section, key, default, int, "an integer")
 
     def get_float(self, section: str, key: str, default=_REQUIRED) -> float | None:
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return default if default is not _REQUIRED else None
-        try:
-            return float(raw[0])
-        except ValueError:
-            raise ConfigError(
-                f"{self.path}:{raw[1]}: field {key!r} in [{section}] must be a number, got {raw[0]!r}"
-            )
+        return self._get(section, key, default, float, "a number")
 
     def get_bool(self, section: str, key: str, default=_REQUIRED) -> bool | None:
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return default if default is not _REQUIRED else None
-        val = raw[0].lower()
-        if val in ("true", "yes", "1", "on"):
-            return True
-        if val in ("false", "no", "0", "off"):
-            return False
-        raise ConfigError(
-            f"{self.path}:{raw[1]}: field {key!r} in [{section}] must be a boolean, got {raw[0]!r}"
-        )
+        return self._get(section, key, default, _parse_bool, "a boolean")
 
     def get_floats(self, section: str, key: str, default=_REQUIRED) -> list[float] | None:
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return default if default is not _REQUIRED else None
-        try:
-            return [float(tok) for tok in raw[0].replace(",", " ").split()]
-        except ValueError:
-            raise ConfigError(
-                f"{self.path}:{raw[1]}: field {key!r} in [{section}] must be a list of numbers, got {raw[0]!r}"
-            )
+        return self._get(section, key, default, _parse_floats, "a list of numbers")
 
     def positive(self, value: float, section: str, key: str) -> float:
         if value <= 0:

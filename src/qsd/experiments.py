@@ -20,7 +20,7 @@ from .measures import Measure, write_histogram_csv
 from .models import DiffusionModel, build_model, validate_model
 from .particles import fleming_viot_run, lambda0_estimate
 from .report import VerificationReport
-from .rng import substream
+from .rng import step_generator, substream
 from .simulate import PathConfig, simulate_path, survival_snapshots
 
 
@@ -291,7 +291,7 @@ def run_decay_report(cfg: ExperimentConfig, out: str, seed: int):
         t0 = cfg.get_int("params", "t0")
         n_pairs = cfg.positive(cfg.get_int("params", "n_pairs", 5), "params", "n_pairs")
         cert = ch.fit_two_sided(chain, t0)
-        g = np.random.Generator(np.random.Philox(key=np.array([seed, 77], dtype=np.uint64)))
+        g = step_generator(seed, 77)
         pairs = g.exponential(size=(n_pairs, 2, chain.n))
         pairs /= pairs.sum(axis=2, keepdims=True)
         report = certs.decay_report_chain(

@@ -204,6 +204,10 @@ class FiniteStateSpace:
     distance 1 for every state; an embedding of the states into R^d
     overrides the metric, and an explicit boundary-distance vector
     overrides rho(x, CEMETERY).
+
+    It is also the metric of diffusion probe grids: the gradient and h_t
+    profiles embed their points and take the domain's boundary distance,
+    so this class is the one place that knows the distance to the cemetery.
     """
 
     n: int

@@ -19,7 +19,7 @@ from qsd.certificates import (
     minorize_laws,
 )
 from qsd.chains import FiniteAbsorbedChain, fit_two_sided
-from qsd.domains import InnerCompact, Interval
+from qsd.domains import Ball, InnerCompact, Interval
 from qsd.measures import BinGrid, Measure, coarsen_histogram
 from qsd.models import ConstantIsotropic, DiffusionModel, ZeroDrift, brownian_interval
 
@@ -29,9 +29,9 @@ PI = np.pi
 SYM2 = np.array([[0.4, 0.2], [0.2, 0.4]])
 
 
-def frozen_model():
+def frozen_model(domain=Interval(0.0, 1.0)):
     return DiffusionModel(
-        domain=Interval(0.0, 1.0),
+        domain=domain,
         drift=ZeroDrift(),
         diffusion=ConstantIsotropic(0.0),
         sigma_min2=0.0,
@@ -190,6 +190,25 @@ def test_gradient_frozen_model_is_zero():
     )
     assert prof.lipschitz[0] == 0.0
     assert prof.max_survival[0] == 1.0
+
+
+@pytest.mark.parametrize(
+    "domain,points",
+    [
+        (Interval(0.0, 1.0), [[0.3], [0.5], [0.93]]),
+        (Ball((0.0, 0.0), 1.0), [[0.0, 0.0], [0.4, -0.2], [0.0, 0.85]]),
+    ],
+)
+def test_gradient_cemetery_enters_through_boundary_distance(domain, points):
+    # nothing moves or dies: every survival is 1, so the only nonzero
+    # quotients are the cemetery pairs, 1 / rho_boundary(x)
+    model = frozen_model(domain)
+    pts = np.array(points)
+    prof = gradient_profile(model, [0.5], pts, 200, 5, dts=[1e-2], include_boundary=True)
+    assert prof.max_survival[0] == 1.0
+    assert prof.lipschitz[0] == 1.0 / domain.rho_boundary(pts).min()
+    margin = next(c for c in prof.report.checks if c.name == "survival-below-L-rho-margin")
+    assert margin.passed
 
 
 def test_gradient_chain_discrete_metric_is_range():

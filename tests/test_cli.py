@@ -61,6 +61,22 @@ def test_config_parse_errors(text, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "getter,noun",
+    [
+        ("get_int", "an integer"),
+        ("get_float", "a number"),
+        ("get_bool", "a boolean"),
+        ("get_floats", "a list of numbers"),
+    ],
+)
+def test_config_type_errors_name_line_field_and_section(getter, noun):
+    cfg = ExperimentConfig.from_text("[a]\nok = 1\nx = 1.5 oops\n", path="p.cfg")
+    with pytest.raises(ConfigError) as err:
+        getattr(cfg, getter)("a", "x")
+    assert str(err.value) == f"p.cfg:3: field 'x' in [a] must be {noun}, got '1.5 oops'"
+
+
 def test_config_missing_field_names_field():
     cfg = ExperimentConfig.from_text("[params]\nhorizon = 1\n")
     with pytest.raises(ConfigError) as err:
@@ -118,6 +134,35 @@ def test_cli_requires_seed(tmp_path):
     assert main(["finite-verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     # --seed rescues it
     assert main(["finite-verify", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "5"]) == 0
+
+
+@pytest.mark.parametrize("kind", ["finite-verify", "decay-report"])
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("via", ["option", "config"])
+def test_chain_kinds_reject_seed_outside_u64(tmp_path, capsys, kind, seed, via):
+    chain = write(tmp_path, "sym2.chain", SYM2_TEXT)
+    cfg_seed = seed if via == "config" else "5"
+    cfg = write(
+        tmp_path,
+        "s.cfg",
+        f"[experiment]\nkind = {kind}\nseed = {cfg_seed}\n\n[model]\nchain = {chain}\n\n"
+        "[params]\nt0 = 1\nt_max = 20\n",
+    )
+    argv = [kind, "--config", cfg, "--out", str(tmp_path / "o")]
+    if via == "option":
+        argv += ["--seed", seed]
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_bundled_configs_run(tmp_path):
+    cfgs = sorted((ROOT / "configs").glob("*.cfg"))
+    assert cfgs
+    for path in cfgs:
+        kind = ExperimentConfig.from_file(path).get_str("experiment", "kind")
+        out = tmp_path / path.stem
+        assert main([kind, "--config", str(path), "--out", str(out)]) == 0, path.name
+        assert (out / "report.csv").exists()
 
 
 def test_cli_bad_chain_file_reports_line(tmp_path, capsys):
