@@ -27,6 +27,7 @@ from .particles import conditioned_law_series, domain_grid
 from .report import VerificationReport
 from .rng import stream_generator, substream
 from .simulate import (
+    ZeroSurvivorError,
     hitting_before,
     split_survival_profile,
     survival_snapshots,
@@ -164,7 +165,10 @@ def _grid_survival(model, pts, times, n, seed, ids, *, dt, window=0.0):
     if window > 0:
         logp, logse = split_survival_profile(model, pts, times, n, seed, dt=dt, window=window)
         p = np.exp(logp.T)
-        return p, p * logse.T
+        # a point whose particles all died (log-survival -inf) has no evidence
+        se = np.full_like(p, np.inf)
+        np.multiply(p, logse.T, out=se, where=np.isfinite(logp.T))
+        return p, se
     p = np.zeros((len(pts), len(times)))
     se = np.zeros_like(p)
     for k, x in enumerate(pts):
@@ -406,6 +410,12 @@ def decay_report_model(
             n_y = max(sy[k] * n, 1.0)
             tv_se[k] = np.sqrt(2.0 * grid.size / np.pi * (1 / n_x + 1 / n_y))
         ok = np.isfinite(tvs)
+        if not ok.any():
+            raise ZeroSurvivorError(
+                f"pair{ip} (x={np.ravel(x).tolist()}, y={np.ravel(y).tolist()}): "
+                f"no time with survivors from both starts "
+                f"out of {n} paths each; increase n or reduce the times"
+            )
         worst = np.inf
         for k in np.flatnonzero(ok):
             bound = 2.0 * (1 - c1c2) ** int(times[k] // cert.t0)

@@ -31,6 +31,30 @@ def domain_grid(model: DiffusionModel, bins) -> BinGrid:
     return BinGrid.regular(lo, hi, bins)
 
 
+def _bin_index(edges, pts: np.ndarray) -> np.ndarray:
+    """Flat C-order bin of each point of `pts` (m, dim) on the grid with
+    edge arrays `edges` (`BinGrid.edge_arrays()`), clipped to the grid.
+
+    Per axis this is clip(searchsorted(e, x, side="right") - 1, 0,
+    bins - 1), exactly, for every grid: bin i holds lo[i] <= x < hi[i],
+    with the interior edges padded by -inf and +inf.  The floor of
+    (x - e[0]) / mean width is kept where it satisfies that, and the few
+    points where it does not (rounding at an edge, an irregular grid) are
+    binary-searched.
+    """
+    flat = np.zeros(pts.shape[0], dtype=np.intp)
+    for e, x in zip(edges, np.ascontiguousarray(pts.T)):
+        top = e.size - 2
+        i = np.floor((x - e[0]) * ((top + 1) / (e[-1] - e[0])))
+        i = np.fmin(np.fmax(i, 0), top).astype(np.intp)
+        inner = e[1:-1]
+        bad = ~((np.append(-np.inf, inner)[i] <= x) & (x < np.append(inner, np.inf)[i]))
+        if bad.any():
+            i[bad] = np.clip(np.searchsorted(e, x[bad], side="right") - 1, 0, top)
+        flat = flat * (top + 1) + i
+    return flat
+
+
 def conditional_rejection(
     model: DiffusionModel,
     x,
@@ -144,32 +168,32 @@ def fleming_viot_run(
     burn_steps = int(np.ceil(burn_in / dt - 1e-9))
     edges = grid.edge_arrays()
     occ = np.zeros(grid.size)
-    shape = grid.shape
     rebirth_count = np.zeros(n_steps, dtype=np.int64)
     total = 0
+    rho = model.domain.rho_boundary(pos)
     for step in range(n_steps):
         g = step_generator(seed, step)  # also draws the rebirth donors
-        pos, alive = _step(model, pos, g, dt, bridge)
+        pos, alive, rho = _step(model, pos, g, dt, bridge, rho)
         dead = np.flatnonzero(~alive)
         if dead.size:
-            alive_idx = list(np.flatnonzero(alive))
-            if not alive_idx:
+            alive_idx = np.flatnonzero(alive)
+            a = alive_idx.size
+            if not a:
                 raise ExtinctionError(
                     f"all {n} particles absorbed at step {step}; reduce dt"
                 )
-            for i in dead:
-                donor = alive_idx[int(g.integers(0, len(alive_idx)))]
-                pos[i] = pos[donor]
-                alive_idx.append(int(i))
+            # dead[j] draws one of the a + j particles alive before it: the
+            # alive ones, then dead[0..j-1], already reborn
+            pick = g.integers(0, a + np.arange(dead.size))
+            donor = alive_idx[np.minimum(pick, a - 1)]
+            for j in np.flatnonzero(pick >= a):
+                donor[j] = donor[pick[j] - a]
+            pos[dead] = pos[donor]
+            rho[dead] = rho[donor]
             rebirth_count[step] = dead.size
             total += int(dead.size)
         if step >= burn_steps:
-            idx = [
-                np.clip(np.searchsorted(edges[k], pos[:, k], side="right") - 1, 0, shape[k] - 1)
-                for k in range(len(shape))
-            ]
-            flat = np.ravel_multi_index(idx, shape)
-            occ += np.bincount(flat, minlength=grid.size)
+            occ += np.bincount(_bin_index(edges, pos), minlength=grid.size)
     occupation = Measure(grid, occ / occ.sum())
     final_histogram = histogram_from_samples(grid, pos)
     # rebirth-rate series on a coarse time grid

@@ -6,7 +6,7 @@ order, one slot per path passed to the step.  Estimators that compact
 absorbed paths away pass only the survivors, so there the variate a path
 uses at step k is a function of (seed, k, alive slot), not of its original
 index: it depends on which paths died earlier, and splitting a batch
-changes the realisations.  Keying the noise by path id is item 3 of
+changes the realisations.  Keying the noise by path id is item 1 of
 ROADMAP.md.
 
 Probe-level seeds are derived from the master seed with `substream`, so

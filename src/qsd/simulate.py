@@ -16,7 +16,7 @@ passed in.  Most of them compact absorbed paths away, so a path's slot is
 its rank among the paths still alive at that step.  Its variate is then a
 function of (seed, step, alive slot), not of its original index: it
 depends on which paths died earlier, and splitting a batch changes the
-realisations.  Keying the noise by path id is item 3 of ROADMAP.md.
+realisations.  Keying the noise by path id is item 1 of ROADMAP.md.
 """
 
 from __future__ import annotations
@@ -86,15 +86,31 @@ def _noise_dim(model: DiffusionModel) -> int:
     return r if r else model.dim
 
 
-def _step(model, x, g, dt, bridge):
-    """One Euler step with absorption for the paths in `x`: (x_new, alive).
+# Edge of the bridge band, in units of sigma_n^2 dt (see `_step`): outside
+# it p <= exp(-2 _BAND) < 0.3 * 2**-53.  The exact edge 53 ln(2) / 2 = 18.37
+# would not do: there the computed exp already exceeds 2**-53 by 3 ulps.
+_BAND = 19.0
+
+
+def _step(model, x, g, dt, bridge, rho=None):
+    """One Euler step with absorption for the paths in `x`:
+    (x_new, alive, rho_new).
 
     `x` has shape (..., k, d).  The step draws k normal vectors, then k
     uniforms, from `g`; slot j serves row j of the last-but-one axis, and
     every leading axis shares the same k slots (common random numbers).
     A path is alive when x_new lies in the open domain {rho > 0} and, with
-    `bridge`, the Brownian-bridge crossing test does not fire.  `alive` has
-    shape x.shape[:-1]; non-finite rows of x_new are never alive.
+    `bridge`, the Brownian-bridge crossing test u < p, with
+    p = exp(-2 rho(x) rho(x_new) / (sigma_n^2 dt)), does not fire.  `alive`
+    and `rho_new` = rho_boundary(x_new) have shape x.shape[:-1]; non-finite
+    rows of x_new are never alive.  `rho`, if given, is rho_boundary(x)
+    (a caller that carries the previous step's `rho_new` saves computing it).
+
+    p is only evaluated in the band rho(x) rho(x_new) < _BAND sigma_n^2 dt,
+    with sigma_n^2 each path's own normal variance, and on paths whose
+    uniform is exactly 0.  The uniforms of `Generator.random` are multiples
+    of 2**-53, so elsewhere u >= 2**-53 > p and u < p cannot hold: the alive
+    mask is bit for bit the one of evaluating p on every path.
     """
     shape = x.shape
     z = g.standard_normal((shape[-2], _noise_dim(model)))
@@ -107,13 +123,15 @@ def _step(model, x, g, dt, bridge):
     rho1 = model.domain.rho_boundary(x_new)
     alive = rho1 > 0
     if bridge:
-        rho0 = model.domain.rho_boundary(x)
+        rho0 = model.domain.rho_boundary(x) if rho is None else rho.reshape(-1)
         sig2 = model.normal_sigma2(x)
+        band = np.flatnonzero(alive & ((rho0 * rho1 < sig2 * (_BAND * dt)) | (u == 0)))
+        r0, r1, s2 = rho0[band], rho1[band], sig2[band]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            p_cross = np.exp(-2.0 * rho0 * np.maximum(rho1, 0.0) / (sig2 * dt))
-        p_cross = np.where(sig2 > 0, p_cross, 0.0)
-        alive &= ~(u < p_cross)
-    return x_new.reshape(shape), alive.reshape(shape[:-1])
+            p_cross = np.exp(-2.0 * r0 * r1 / (s2 * dt))
+        p_cross = np.where(s2 > 0, p_cross, 0.0)
+        alive[band[u[band] < p_cross]] = False
+    return x_new.reshape(shape), alive.reshape(shape[:-1]), rho1.reshape(shape[:-1])
 
 
 def _start_cloud(model, x, n):
@@ -144,7 +162,7 @@ def simulate_path(
         hit_time = 0.0
     absorption_time = np.inf
     for step in range(config.n_steps):
-        x_new, alive = _step(model, x, step_generator(config.seed, step), dt, config.bridge_correction)
+        x_new, alive, _ = _step(model, x, step_generator(config.seed, step), dt, config.bridge_correction)
         if not np.isfinite(x_new).all():
             raise NumericalBlowupError(step)
         t = (step + 1) * dt
@@ -220,11 +238,12 @@ def survival_snapshots(
             positions[times[ti]] = x.copy()
         ti += 1
     n_steps = max(snap) if snap else 0
+    rho = model.domain.rho_boundary(x)
     for step in range(n_steps):
         if x.shape[0] == 0:
             break
-        x_new, alive = _step(model, x, step_generator(seed, step), dt, bridge)
-        x = x_new[alive]
+        x_new, alive, rho_new = _step(model, x, step_generator(seed, step), dt, bridge, rho)
+        x, rho = x_new[alive], rho_new[alive]
         while ti < len(times) and snap[ti] == step + 1:
             counts[ti] = x.shape[0]
             if (step + 1) in keep:
@@ -275,7 +294,7 @@ def hitting_before(
     for step in range(n_steps):
         if pos.shape[0] == 0:
             break
-        new, alive = _step(model, pos, step_generator(seed, step), dt, bridge)
+        new, alive, _ = _step(model, pos, step_generator(seed, step), dt, bridge)
         pos, hit = new[alive], hit[alive]
         hit |= target.contains(pos)
     p = float(hit.sum()) / n
@@ -302,7 +321,7 @@ def tube_probability(
     for step in range(k2):
         if pos.shape[0] == 0:
             break
-        new, alive = _step(model, pos, step_generator(seed, step), dt, bridge)
+        new, alive, _ = _step(model, pos, step_generator(seed, step), dt, bridge)
         pos = new[alive]
         if step + 1 >= k1:
             inside = np.linalg.norm(pos - center, axis=1) <= radius
@@ -348,7 +367,7 @@ def split_survival_profile(
     n_steps = max(snap)
     ti = 0
     for step in range(n_steps):
-        x_new, alive = _step(model, pos, step_generator(seed, step), dt, bridge)
+        x_new, alive, _ = _step(model, pos, step_generator(seed, step), dt, bridge)
         pos = np.where(alive[..., None], x_new, np.nan)
         if (step + 1) % w_steps == 0 and step + 1 < n_steps:
             for i in range(m):

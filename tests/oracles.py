@@ -3,14 +3,21 @@
 Everything here is computed by a route disjoint from the package code:
 finite-difference Dirichlet eigenproblems, Gaussian image series,
 adaptive quadrature, dense eigensolvers and brute-force enumerations.
+The Monte-Carlo kernels at the end are the plain forms of the package's
+step, rebirth and binning code: the crossing probability on every path,
+one donor draw per dead particle, and one `searchsorted` per axis.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 from scipy.stats import norm
+
+from qsd.rng import step_generator
 
 
 # --- 1-d Dirichlet eigensolver (finite differences) ---------------------------
@@ -219,3 +226,68 @@ def natural_scale_exit_time_mc(a: float, u: float, L: float, n: int, dt: float, 
         if step > 10_000_000:
             raise RuntimeError("exit-time oracle did not terminate")
     return float(t_exit.mean()), float(t_exit.std(ddof=1) / np.sqrt(n))
+
+
+# --- Monte-Carlo kernels, unoptimised ------------------------------------------
+
+
+def step_reference(model, x, g, dt, bridge):
+    """One Euler step with absorption, (x_new, alive), the crossing
+    probability exp(-2 rho(x) rho(x_new) / (sigma_n^2 dt)) evaluated on
+    every path.  Draws k normal vectors, then k uniforms, from `g`."""
+    shape = x.shape
+    z = g.standard_normal((shape[-2], getattr(model.diffusion, "r", 0) or model.dim))
+    u = g.random(shape[-2])
+    lead = math.prod(shape[:-2])
+    if lead > 1:
+        z, u = np.tile(z, (lead, 1)), np.tile(u, lead)
+    x = x.reshape(-1, shape[-1])
+    x_new = x + model.drift(x) * dt + model.diffusion.apply(x, z) * np.sqrt(dt)
+    rho1 = model.domain.rho_boundary(x_new)
+    alive = rho1 > 0
+    if bridge:
+        rho0 = model.domain.rho_boundary(x)
+        sig2 = model.normal_sigma2(x)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            p_cross = np.exp(-2.0 * rho0 * np.maximum(rho1, 0.0) / (sig2 * dt))
+        p_cross = np.where(sig2 > 0, p_cross, 0.0)
+        alive &= ~(u < p_cross)
+    return x_new.reshape(shape), alive.reshape(shape[:-1])
+
+
+def bin_index_reference(edges, pts: np.ndarray) -> np.ndarray:
+    """Flat C-order bin of each point, clipped searchsorted per axis."""
+    shape = tuple(e.size - 1 for e in edges)
+    idx = [
+        np.clip(np.searchsorted(e, pts[:, k], side="right") - 1, 0, shape[k] - 1)
+        for k, e in enumerate(edges)
+    ]
+    return np.ravel_multi_index(idx, shape)
+
+
+def fleming_viot_reference(model, pos, n_steps, edges, seed, *, dt, burn_steps, bridge=True):
+    """Fleming-Viot loop with rebirths drawn one dead particle at a time.
+
+    Dead particles restart in index order at a uniform pick among the
+    alive ones and those reborn before them.  Returns (occupation counts,
+    rebirths per step, final cloud, number of rebirths whose donor was
+    itself reborn in the same step).
+    """
+    occ = np.zeros(math.prod(e.size - 1 for e in edges))
+    rebirths = np.zeros(n_steps, dtype=np.int64)
+    chained = 0
+    for step in range(n_steps):
+        g = step_generator(seed, step)
+        pos, alive = step_reference(model, pos, g, dt, bridge)
+        dead = np.flatnonzero(~alive)
+        alive_idx = list(np.flatnonzero(alive))
+        n_alive = len(alive_idx)
+        for i in dead:
+            pick = int(g.integers(0, len(alive_idx)))
+            chained += pick >= n_alive
+            pos[i] = pos[alive_idx[pick]]
+            alive_idx.append(int(i))
+        rebirths[step] = dead.size
+        if step >= burn_steps:
+            occ += np.bincount(bin_index_reference(edges, pos), minlength=occ.size)
+    return occ, rebirths, pos, chained

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,8 @@ from qsd.chains import FiniteAbsorbedChain, fit_two_sided
 from qsd.domains import Ball, InnerCompact, Interval
 from qsd.measures import BinGrid, Measure, coarsen_histogram
 from qsd.models import ConstantIsotropic, DiffusionModel, ZeroDrift, brownian_interval
+from qsd.report import VerificationReport
+from qsd.simulate import ZeroSurvivorError
 
 from oracles import random_positive_chain
 
@@ -174,6 +178,20 @@ def test_decay_report_model_bm():
     assert rep.passed, rep.to_text()
 
 
+def test_decay_report_model_pair_without_survivors_raises(monkeypatch):
+    grid = BinGrid.regular(0.0, 1.0, 8)
+    cert = ConditionACertificate(t0=1.0, c1=0.5, nu=Measure(grid, np.full(8, 1 / 8)), c2=0.5)
+    recorded = []
+    add = VerificationReport.add
+    monkeypatch.setattr(
+        VerificationReport, "add", lambda self, check: recorded.append(check.name) or add(self, check)
+    )
+    # survival from 0.5 at t = 5 is about 2e-11: every path of both starts dies
+    with pytest.raises(ZeroSurvivorError, match=r"pair0 \(x=\[0\.5\], y=\[0\.3\]\)"):
+        decay_report_model(brownian_interval(0, 1), cert, [(0.5, 0.3)], [5, 6, 7], 100, 8, 4, dt=1e-2)
+    assert recorded == ["gamma-hat"]  # no check of pair0 was recorded
+
+
 # --- gradient profile ----------------------------------------------------------------
 
 
@@ -219,6 +237,18 @@ def test_gradient_chain_discrete_metric_is_range():
     for t in (1, 3):
         L, surv = gradient_profile_chain(chain, t)
         assert L == pytest.approx(surv.max() - surv.min(), abs=1e-15)
+
+
+def test_gradient_windowed_point_without_survivors_is_inconclusive():
+    # every particle started at 0.0005 dies within the window
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        prof = gradient_profile(
+            brownian_interval(0, 1), [0.5], [[0.0005], [0.5]], 100, 3, dts=[1e-2], windows=[0.5]
+        )
+    assert prof.inconclusive[0]
+    for c in prof.report.checks:
+        assert not np.isnan([c.bound, c.measured, c.se, c.tolerance]).any(), c.line()
 
 
 def test_gradient_bm_shape_small_times():

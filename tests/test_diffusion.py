@@ -12,6 +12,7 @@ from qsd.models import (
 )
 from qsd.rng import step_generator
 from qsd.simulate import (
+    _BAND,
     PathConfig,
     _step,
     hitting_before,
@@ -21,7 +22,7 @@ from qsd.simulate import (
     survival_snapshots,
 )
 
-from oracles import reflection_survival, survival_series
+from oracles import reflection_survival, step_reference, survival_series
 
 
 def frozen_model(domain=Interval(0.0, 1.0)):
@@ -243,24 +244,24 @@ def test_blowup_detection():
 # --- step kernel --------------------------------------------------------------------
 
 
+STEP_SPECS = [
+    ("interval 0 3.141592653589793", "zero", "constant 1.0"),
+    ("box 0 0 1 2", "linear -0.5 0.5 1", "diagonal_holder 1.0 0.3 0.5 0.5 1.0"),
+    ("ball 0 0 1", "zero", "constant 1.0"),
+]
+
+
 @pytest.mark.parametrize("bridge", [True, False])
-@pytest.mark.parametrize(
-    "specs",
-    [
-        ("interval 0 3.141592653589793", "zero", "constant 1.0"),
-        ("box 0 0 1 2", "linear -0.5 0.5 1", "diagonal_holder 1.0 0.3 0.5 0.5 1.0"),
-        ("ball 0 0 1", "zero", "constant 1.0"),
-    ],
-)
+@pytest.mark.parametrize("specs", STEP_SPECS)
 def test_step_stack_equals_separate_calls(specs, bridge):
     model = build_model(*specs)
     xs = model.domain.uniform(np.random.default_rng(5), 3 * 40).reshape(3, 40, model.dim)
     xs[1, 7] = np.nan  # a dead row, as split_survival_profile keeps them
-    x_new, alive = _step(model, xs, step_generator(9, 4), 0.01, bridge)
+    x_new, alive, _ = _step(model, xs, step_generator(9, 4), 0.01, bridge)
     assert alive.shape == (3, 40)
     assert alive.any() and not alive.all()
     for i in range(3):
-        xi, ai = _step(model, xs[i], step_generator(9, 4), 0.01, bridge)
+        xi, ai, _ = _step(model, xs[i], step_generator(9, 4), 0.01, bridge)
         assert np.array_equal(x_new[i], xi, equal_nan=True)
         assert np.array_equal(alive[i], ai)
 
@@ -281,7 +282,68 @@ def test_step_stack_equals_separate_calls(specs, bridge):
 )
 def test_step_alive_is_open_domain_membership(domain, points):
     x = np.array(points)
-    x_new, alive = _step(frozen_model(domain), x, step_generator(1, 0), 0.01, False)
+    x_new, alive, _ = _step(frozen_model(domain), x, step_generator(1, 0), 0.01, False)
     assert np.array_equal(x_new, x, equal_nan=True)  # boundary points stay on the boundary
     assert np.array_equal(alive, domain.contains(x_new))
     assert alive.any() and not alive.all()
+
+
+@pytest.mark.parametrize("bridge", [True, False])
+@pytest.mark.parametrize("specs", STEP_SPECS)
+def test_step_equals_reference_near_the_boundary(specs, bridge):
+    model = build_model(*specs)
+    dt = 1e-3
+    cand = model.domain.uniform(np.random.default_rng(3), 40_000)
+    rho = model.domain.rho_boundary(cand)
+    # 2000 starts within 4 sqrt(dt) of the boundary, 500 deeper inside
+    x = np.vstack([cand[rho < 4 * np.sqrt(dt)][:2000], cand[rho >= 4 * np.sqrt(dt)][:500]])
+    assert x.shape[0] == 2500
+    bridge_kills = 0
+    for step in range(5):
+        ref_x, ref_alive = step_reference(model, x, step_generator(7, step), dt, bridge)
+        rho = model.domain.rho_boundary(x)
+        new_x, alive, rho_new = _step(model, x, step_generator(7, step), dt, bridge, rho)
+        assert np.array_equal(new_x, ref_x)
+        assert np.array_equal(alive, ref_alive)
+        assert np.array_equal(rho_new, model.domain.rho_boundary(new_x))
+        _, alive_no_rho, _ = _step(model, x, step_generator(7, step), dt, bridge)
+        assert np.array_equal(alive_no_rho, ref_alive)
+        bridge_kills += int((model.domain.contains(new_x) & ~alive).sum())
+        x = new_x[alive]
+    assert (bridge_kills > 0) == bridge
+
+
+def test_step_uniforms_are_multiples_of_2_pow_minus_53():
+    """The bridge band of `_step` is exact only on this grain."""
+    u = step_generator(5, 9).random(100_000)
+    k = u * 2.0**53
+    assert np.array_equal(k, np.floor(k)) and k.max() < 2.0**53
+
+
+class _FixedNoise:
+    """Generator stand-in: zero normals and one fixed uniform for every path."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def standard_normal(self, shape):
+        return np.zeros(shape)
+
+    def random(self, k):
+        return np.full(k, self.u)
+
+
+@pytest.mark.parametrize("u", [0.0, 2.0**-53, 1e-14, 1e-9, 0.3])
+def test_step_fixed_uniform_equals_reference_across_the_band_edge(u):
+    model = brownian_interval(0.0, 1.0)
+    dt = 2e-4
+    # paths standing still with 2 rho^2 / dt = q: p = exp(-q), the band
+    # edge is at q = 2 _BAND = 38, and p underflows to 0 at q = 5000
+    q = np.array([1.0, 10.0, 30.0, 36.0, 37.9, 38.1, 50.0, 100.0, 5000.0])
+    x = np.sqrt(q * dt / 2)[:, None]
+    assert np.array_equal(model.domain.rho_boundary(x) ** 2 >= _BAND * dt, q >= 2 * _BAND)
+    _, alive, _ = _step(model, x, _FixedNoise(u), dt, True)
+    _, ref_alive = step_reference(model, x, _FixedNoise(u), dt, True)
+    assert np.array_equal(alive, ref_alive)
+    if u == 0.0:  # out-of-band paths are still killed wherever p > 0
+        assert alive.tolist() == [False] * 8 + [True]

@@ -2,19 +2,21 @@ import numpy as np
 import pytest
 
 from qsd.chains import FiniteAbsorbedChain, evolve_conditioned, qsd_spectral
-from qsd.measures import coarsen_histogram, tv_distance
-from qsd.models import ConstantIsotropic, DiffusionModel, LinearDrift, brownian_interval
+from qsd.measures import BinGrid, coarsen_histogram, tv_distance
+from qsd.models import ConstantIsotropic, DiffusionModel, LinearDrift, brownian_interval, build_model
 from qsd.domains import Interval
 from qsd.particles import (
     ExtinctionError,
+    _bin_index,
     conditional_rejection,
     conditioned_law_series,
     fleming_viot_run,
     lambda0_estimate,
 )
+from qsd.rng import step_generator
 from qsd.simulate import ZeroSurvivorError
 
-from oracles import ground_profile_hist
+from oracles import bin_index_reference, fleming_viot_reference, ground_profile_hist
 
 PI = np.pi
 
@@ -148,3 +150,70 @@ def test_coarsened_rejection_histogram_nests():
     coarse = coarsen_histogram(hist, 2)
     assert coarse.support.size == 16
     assert coarse.weights.sum() == pytest.approx(1.0)
+
+
+# --- Fleming-Viot kernels against their sequential references -----------------------
+
+
+FV_CASES = [
+    (("interval 0 1", "zero", "constant 1.0"), 8),
+    (
+        ("box 0 0 1 2", "linear -0.5 0.5 1", "diagonal_holder 1.0 0.3 0.5 0.5 1.0"),
+        BinGrid(((0.0, 0.1, 0.15, 0.5, 1.0), (0.0, 1.5, 2.0))),
+    ),
+    (("ball 0 0 1", "zero", "constant 1.0"), 6),
+]
+
+
+def test_fv_equals_sequential_rebirth_reference():
+    chained = 0
+    for k, (specs, bins) in enumerate(FV_CASES):
+        model = build_model(*specs)
+        n, dt, n_steps = 60, 0.02, 50
+        init = model.domain.uniform(np.random.default_rng(k), n)
+        res = fleming_viot_run(
+            model, n, n_steps * dt, bins, 21 + k, dt=dt, burn_in=0.5, init=init, rate_bins=n_steps
+        )
+        edges = res.occupation.support.edge_arrays()
+        occ, rebirths, pos, c = fleming_viot_reference(
+            model, init.copy(), n_steps, edges, 21 + k, dt=dt, burn_steps=25
+        )
+        assert np.array_equal(res.occupation.weights, occ / occ.sum())
+        assert np.array_equal(res.rebirth_rates, rebirths / (n * dt))
+        assert res.total_rebirths == rebirths.sum()
+        assert np.array_equal(res.cloud.positions, pos)
+        chained += c
+    assert chained > 0  # some donors were themselves reborn in the same step
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        BinGrid.regular(0.0, PI, 32),
+        BinGrid.regular([0.0, -1.0], [1.0, 2.0], [10, 7]),
+        BinGrid(((0.0, 0.1, 0.15, 0.5, 3.0), (-1.0, 0.0, 2.0))),
+    ],
+)
+def test_bin_index_equals_clipped_searchsorted(grid):
+    g = np.random.default_rng(4)
+    edges = grid.edge_arrays()
+    cols = []
+    for e in edges:
+        # every edge and its neighbours one ulp away, points outside, then random points
+        c = np.concatenate(
+            [e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf), [e[0] - 1, e[-1] + 1e6, -np.inf, np.inf]]
+        )
+        cols.append(np.concatenate([c, g.uniform(e[0] - 0.1, e[-1] + 0.1, 3000 - c.size)]))
+    pts = np.stack([g.permutation(c) for c in cols], axis=1)
+    assert np.array_equal(_bin_index(edges, pts), bin_index_reference(edges, pts))
+
+
+@pytest.mark.parametrize("a,d", [(1, 1), (3, 40), (4999, 7), (2**32 - 3, 6)])
+def test_integers_array_high_equals_sequential_scalar_calls(a, d):
+    """The batched donor draw of fleming_viot_run relies on this."""
+    g1, g2 = step_generator(11, a), step_generator(11, a)
+    g1.standard_normal(3)
+    g2.standard_normal(3)
+    batch = g1.integers(0, a + np.arange(d))
+    assert batch.tolist() == [int(g2.integers(0, a + j)) for j in range(d)]
+    assert g1.random() == g2.random()
