@@ -481,7 +481,8 @@ def gradient_profile(
     grid of times; L(t)/max survival spread within `shape_factor` over the
     times with t >= 1; the smallest time t1 yields
     P_x(t1 < tau) <= L(t1) rho(x) on the grid.  MC noise above 20% of the
-    largest survival difference flags the time as inconclusive.
+    largest survival difference flags the time as inconclusive.  A time at
+    which no point has a surviving path raises `ZeroSurvivorError`.
     `windows[k]` > 0 switches time k to the windowed-splitting estimator.
     """
     times = [float(t) for t in times]
@@ -502,6 +503,11 @@ def gradient_profile(
             model, pts, [t], n, substream(seed, 60, k), (), dt=dts[k], window=windows[k]
         )
         surv, se = surv[:, 0], se[:, 0]
+        if not surv.any():
+            raise ZeroSurvivorError(
+                f"no survivors at t={t:g} from any of the {len(pts)} points out of {n} "
+                "paths each; increase n or reduce the times"
+            )
         surv_profiles.append(surv)
         # the cemetery, if a label, has survival 0
         L[k] = lipschitz_constant(labels, np.append(surv, 0.0)[: len(labels)], space.metric)

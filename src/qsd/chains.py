@@ -506,7 +506,7 @@ def _pair_nu_raw(pK: np.ndarray, wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
     batched matmul contracts v, O(a |K|^2 n + a b |K| n) in all.
     """
     mins = np.minimum(pK[:, None, :], pK[None, :, :])  # (|K|, |K|, n)
-    return wy @ np.tensordot(wx, mins, axes=(1, 0))
+    return wy @ np.tensordot(wx, mins, (1, 0))
 
 
 def build_nu_xy(

@@ -5,7 +5,8 @@
 Writes report.txt and report.csv (one check per line, fixed field order)
 plus experiment-specific CSV artifacts into the output directory.  Exit
 status 0 iff every check passed or the experiment is estimation-only;
-1 on failed checks; 2 on configuration errors.
+1 on failed checks or an estimator without evidence (a one-line error);
+2 on configuration errors.
 """
 
 from __future__ import annotations
@@ -14,9 +15,12 @@ import argparse
 import os
 import sys
 
+from .certificates import FailedA2Error, NoMinorizationError
 from .chains import ChainFormatError
 from .config import ConfigError, ExperimentConfig
 from .experiments import RUNNERS
+from .particles import ExtinctionError
+from .simulate import ZeroSurvivorError
 
 
 def main(argv=None) -> int:
@@ -59,6 +63,9 @@ def main(argv=None) -> int:
     except (ConfigError, ChainFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ZeroSurvivorError, NoMinorizationError, FailedA2Error, ExtinctionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     report.write(os.path.join(out, "report.txt"), os.path.join(out, "report.csv"))
     sys.stdout.write(report.to_text())

@@ -1,8 +1,18 @@
-"""Bounded Euclidean domains with exact signed boundary distance."""
+"""Bounded Euclidean domains: the one owner of boundary geometry.
+
+For points x of shape (n, d), `rho_boundary(x)` is the exact signed
+distance to the boundary, positive inside, and `contains(x)` is the open
+domain rho_boundary(x) > 0 (a row with a NaN is never inside).
+`normal_sigma2(x, diffusion)` builds the unit normal nu, shape (n, d), of
+the boundary face nearest to x and returns `diffusion.normal_sigma2(x, nu)`
+= |s(x)^T nu|^2, so the sign of nu does not enter.  On a box a tie goes to
+the lower axis; at the centre of a ball nu is the first axis.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -37,21 +47,16 @@ class Interval:
     def inradius(self) -> float:
         return 0.5 * (self.hi - self.lo)
 
-    @property
-    def diameter(self) -> float:
-        return self.hi - self.lo
-
     def contains(self, x) -> np.ndarray:
-        p = _as_points(x, 1)[:, 0]
-        return (p > self.lo) & (p < self.hi)
+        return self.rho_boundary(x) > 0
 
     def rho_boundary(self, x) -> np.ndarray:
         p = _as_points(x, 1)[:, 0]
         return np.minimum(p - self.lo, self.hi - p)
 
     def normal_sigma2(self, x, diffusion) -> np.ndarray:
-        # 1-d: the normal direction is the axis itself
-        return diffusion.normal_sigma2(_as_points(x, 1), None)
+        p = _as_points(x, 1)
+        return diffusion.normal_sigma2(p, np.ones_like(p))
 
     def boundary_points(self) -> np.ndarray:
         return np.array([[self.lo], [self.hi]])
@@ -87,28 +92,27 @@ class Box:
     def inradius(self) -> float:
         return 0.5 * min(b - a for a, b in zip(self.lo, self.hi))
 
-    @property
-    def diameter(self) -> float:
-        return float(np.linalg.norm(np.subtract(self.hi, self.lo)))
+    def _face_gaps(self, p: np.ndarray) -> list[np.ndarray]:
+        """Per axis, the distance from each point to the nearer of its two faces."""
+        return [np.minimum(c - a, b - c) for c, a, b in zip(p.T, self.lo, self.hi)]
 
     def contains(self, x) -> np.ndarray:
-        p = _as_points(x, self.dim)
-        return ((p > np.asarray(self.lo)) & (p < np.asarray(self.hi))).all(axis=1)
+        return self.rho_boundary(x) > 0
 
     def rho_boundary(self, x) -> np.ndarray:
-        p = _as_points(x, self.dim)
-        d = np.minimum(p - np.asarray(self.lo), np.asarray(self.hi) - p)
-        return d.min(axis=1)
-
-    def nearest_axis(self, x) -> np.ndarray:
-        p = _as_points(x, self.dim)
-        d = np.minimum(p - np.asarray(self.lo), np.asarray(self.hi) - p)
-        return d.argmin(axis=1)
+        return reduce(np.minimum, self._face_gaps(_as_points(x, self.dim)))
 
     def normal_sigma2(self, x, diffusion) -> np.ndarray:
         p = _as_points(x, self.dim)
-        axes = self.nearest_axis(p)
-        return diffusion.normal_sigma2(p, axes=axes)
+        gaps = self._face_gaps(p)
+        rho = reduce(np.minimum, gaps)
+        # nu = e_k for the first axis k whose face gap is rho
+        nu = np.zeros_like(p)
+        free = np.ones(p.shape[0], dtype=bool)
+        for k, gap in enumerate(gaps):
+            nu[:, k] = hit = free & (gap == rho)
+            free &= ~hit
+        return diffusion.normal_sigma2(p, nu)
 
     def boundary_points(self) -> np.ndarray:
         # face centers
@@ -156,29 +160,25 @@ class Ball:
     def inradius(self) -> float:
         return self.radius
 
-    @property
-    def diameter(self) -> float:
-        return 2.0 * self.radius
-
     def contains(self, x) -> np.ndarray:
-        p = _as_points(x, self.dim)
-        return np.linalg.norm(p - np.asarray(self.center), axis=1) < self.radius
+        return self.rho_boundary(x) > 0
 
     def rho_boundary(self, x) -> np.ndarray:
         p = _as_points(x, self.dim)
         return self.radius - np.linalg.norm(p - np.asarray(self.center), axis=1)
 
     def normal_dirs(self, x) -> np.ndarray:
-        p = _as_points(x, self.dim)
-        v = p - np.asarray(self.center)
-        r = np.linalg.norm(v, axis=1, keepdims=True)
-        out = np.where(r > 1e-300, v / np.maximum(r, 1e-300), 0.0)
-        out[(r[:, 0] <= 1e-300)] = np.eye(self.dim)[0]
-        return out
+        """Unit vectors from the centre through each point; the first axis at the centre."""
+        v = _as_points(x, self.dim) - np.asarray(self.center)
+        r = np.linalg.norm(v, axis=1)
+        centre = r <= 1e-300
+        v[centre] = np.eye(self.dim)[0]
+        r[centre] = 1.0
+        return v / r[:, None]
 
     def normal_sigma2(self, x, diffusion) -> np.ndarray:
         p = _as_points(x, self.dim)
-        return diffusion.normal_sigma2(p, dirs=self.normal_dirs(p))
+        return diffusion.normal_sigma2(p, self.normal_dirs(p))
 
     def boundary_points(self) -> np.ndarray:
         c = np.asarray(self.center)

@@ -3,6 +3,10 @@
 The declared bounds (sigma_min2, sigma_max2, drift_bound) are the user's
 standing assumptions; `validate_model` spot-checks them on a sampled grid
 rather than proving them.  Built-in fields keep exact bounds.
+
+A diffusion field s(x) is square, d x d: `apply(x, z)` is s(x) z, and
+`normal_sigma2(x, nu)` is |s(x)^T nu|^2 for the unit normals nu, shape
+(n, d), of the nearest boundary faces that the domain builds (`domains`).
 """
 
 from __future__ import annotations
@@ -30,14 +34,11 @@ class ConstantIsotropic:
 
     sigma: float
 
-    @property
-    def r(self) -> int:
-        return 0  # matches state dimension
-
     def apply(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         return self.sigma * z
 
-    def normal_sigma2(self, x: np.ndarray, axes=None, dirs=None) -> np.ndarray:
+    def normal_sigma2(self, x: np.ndarray, nu: np.ndarray) -> np.ndarray:
+        # |sigma nu|^2 = sigma^2 for a unit vector nu
         return np.full(x.shape[0], self.sigma**2)
 
     def bounds_on(self, pts: np.ndarray) -> tuple[float, float]:
@@ -64,13 +65,8 @@ class DiagonalHolder:
     def apply(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         return self._sig(x) * z
 
-    def normal_sigma2(self, x: np.ndarray, axes=None, dirs=None) -> np.ndarray:
-        s = self._sig(x)
-        if dirs is not None:
-            return ((s * dirs) ** 2).sum(axis=1)
-        if axes is not None:
-            return s[np.arange(x.shape[0]), axes] ** 2
-        return s[:, 0] ** 2
+    def normal_sigma2(self, x: np.ndarray, nu: np.ndarray) -> np.ndarray:
+        return ((self._sig(x) * nu) ** 2).sum(axis=1)
 
     def bounds_on(self, pts: np.ndarray) -> tuple[float, float]:
         s = self._sig(pts)
@@ -80,22 +76,15 @@ class DiagonalHolder:
 
 @dataclass(frozen=True)
 class MatrixField:
-    """General s: (n, d) -> (n, d, r)."""
+    """General square s: (n, d) -> (n, d, d)."""
 
     fn: Callable[[np.ndarray], np.ndarray]
-    r: int
 
     def apply(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         return np.einsum("nij,nj->ni", self.fn(x), z)
 
-    def normal_sigma2(self, x: np.ndarray, axes=None, dirs=None) -> np.ndarray:
-        s = self.fn(x)
-        a = np.einsum("nij,nkj->nik", s, s)  # ss*
-        if dirs is not None:
-            return np.einsum("ni,nij,nj->n", dirs, a, dirs)
-        if axes is not None:
-            return a[np.arange(x.shape[0]), axes, axes]
-        return a[:, 0, 0]
+    def normal_sigma2(self, x: np.ndarray, nu: np.ndarray) -> np.ndarray:
+        return (np.einsum("nij,ni->nj", self.fn(x), nu) ** 2).sum(axis=1)
 
     def bounds_on(self, pts: np.ndarray) -> tuple[float, float]:
         s = self.fn(pts)

@@ -81,30 +81,27 @@ class AbsorbedPath:
         return np.isfinite(self.hit_time)
 
 
-def _noise_dim(model: DiffusionModel) -> int:
-    r = getattr(model.diffusion, "r", 0)
-    return r if r else model.dim
-
-
 # Edge of the bridge band, in units of sigma_n^2 dt (see `_step`): outside
 # it p <= exp(-2 _BAND) < 0.3 * 2**-53.  The exact edge 53 ln(2) / 2 = 18.37
 # would not do: there the computed exp already exceeds 2**-53 by 3 ulps.
 _BAND = 19.0
 
 
-def _step(model, x, g, dt, bridge, rho=None):
+def _step(model, x, g, dt, bridge, rho):
     """One Euler step with absorption for the paths in `x`:
     (x_new, alive, rho_new).
 
-    `x` has shape (..., k, d).  The step draws k normal vectors, then k
-    uniforms, from `g`; slot j serves row j of the last-but-one axis, and
-    every leading axis shares the same k slots (common random numbers).
-    A path is alive when x_new lies in the open domain {rho > 0} and, with
-    `bridge`, the Brownian-bridge crossing test u < p, with
-    p = exp(-2 rho(x) rho(x_new) / (sigma_n^2 dt)), does not fire.  `alive`
-    and `rho_new` = rho_boundary(x_new) have shape x.shape[:-1]; non-finite
-    rows of x_new are never alive.  `rho`, if given, is rho_boundary(x)
-    (a caller that carries the previous step's `rho_new` saves computing it).
+    `x` has shape (..., k, d); `rho`, of shape x.shape[:-1], is
+    rho_boundary(x), carried by every caller from the step before.  The step
+    draws k normal d-vectors (d = model.dim), then k uniforms, from `g`;
+    slot j serves row j of the last-but-one axis, and every leading axis
+    shares the same k slots (common random numbers).  A path is alive when
+    x_new lies in the open domain {rho > 0} and, with `bridge`, the
+    Brownian-bridge crossing test u < p, p = exp(-2 rho(x) rho(x_new) /
+    (sigma_n^2 dt)), does not fire; sigma_n^2 = |s(x)^T nu|^2 is
+    `model.normal_sigma2(x)`, nu the unit normal of the nearest boundary
+    face.  `alive` and `rho_new` = rho_boundary(x_new) have shape
+    x.shape[:-1]; non-finite rows of x_new are never alive.
 
     p is only evaluated in the band rho(x) rho(x_new) < _BAND sigma_n^2 dt,
     with sigma_n^2 each path's own normal variance, and on paths whose
@@ -113,7 +110,7 @@ def _step(model, x, g, dt, bridge, rho=None):
     mask is bit for bit the one of evaluating p on every path.
     """
     shape = x.shape
-    z = g.standard_normal((shape[-2], _noise_dim(model)))
+    z = g.standard_normal((shape[-2], model.dim))
     u = g.random(shape[-2])
     lead = math.prod(shape[:-2])
     if lead > 1:
@@ -123,8 +120,7 @@ def _step(model, x, g, dt, bridge, rho=None):
     rho1 = model.domain.rho_boundary(x_new)
     alive = rho1 > 0
     if bridge:
-        rho0 = model.domain.rho_boundary(x) if rho is None else rho.reshape(-1)
-        sig2 = model.normal_sigma2(x)
+        rho0, sig2 = rho.reshape(-1), model.normal_sigma2(x)
         band = np.flatnonzero(alive & ((rho0 * rho1 < sig2 * (_BAND * dt)) | (u == 0)))
         r0, r1, s2 = rho0[band], rho1[band], sig2[band]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -154,22 +150,23 @@ def simulate_path(
     x = np.asarray(x0, dtype=float).reshape(1, model.dim)
     if not model.domain.contains(x)[0]:
         raise DomainError(f"start {x0!r} is not in the open domain")
-    dt = config.dt
+    dt, bridge = config.dt, config.bridge_correction
     times = [0.0]
     positions = [x[0].copy()]
     hit_time = np.inf
     if target is not None and bool(target.contains(x)[0]):
         hit_time = 0.0
     absorption_time = np.inf
+    rho = model.domain.rho_boundary(x)
     for step in range(config.n_steps):
-        x_new, alive, _ = _step(model, x, step_generator(config.seed, step), dt, config.bridge_correction)
+        x_new, alive, rho_new = _step(model, x, step_generator(config.seed, step), dt, bridge, rho)
         if not np.isfinite(x_new).all():
             raise NumericalBlowupError(step)
         t = (step + 1) * dt
         if not alive[0]:
             absorption_time = t
             break
-        x = x_new
+        x, rho = x_new, rho_new
         times.append(t)
         positions.append(x[0].copy())
         if target is not None and not np.isfinite(hit_time) and bool(target.contains(x)[0]):
@@ -228,30 +225,21 @@ def survival_snapshots(
         raise DomainError("some start positions are not in the open domain")
     snap = _snap_steps(times, dt)
     keep = {int(np.ceil(t / dt - 1e-9)) for t in keep_positions}
-    counts = np.zeros(len(times), dtype=np.int64)
+    counts = np.zeros(len(times), dtype=np.int64)  # 0 after every path died
     positions: dict[float, np.ndarray] = {}
     ti = 0
-    # t = 0 snapshots
-    while ti < len(times) and snap[ti] == 0:
-        counts[ti] = x.shape[0]
-        if 0 in keep:
-            positions[times[ti]] = x.copy()
-        ti += 1
     n_steps = max(snap) if snap else 0
     rho = model.domain.rho_boundary(x)
-    for step in range(n_steps):
-        if x.shape[0] == 0:
+    for step in range(n_steps + 1):
+        while ti < len(times) and snap[ti] == step:
+            counts[ti] = x.shape[0]
+            if step in keep:
+                positions[times[ti]] = x.copy()
+            ti += 1
+        if step == n_steps or x.shape[0] == 0:
             break
         x_new, alive, rho_new = _step(model, x, step_generator(seed, step), dt, bridge, rho)
         x, rho = x_new[alive], rho_new[alive]
-        while ti < len(times) and snap[ti] == step + 1:
-            counts[ti] = x.shape[0]
-            if (step + 1) in keep:
-                positions[times[ti]] = x.copy()
-            ti += 1
-    while ti < len(times):  # everything died before later snapshots
-        counts[ti] = x.shape[0] if x.shape[0] else 0
-        ti += 1
     return SnapshotResult(
         times=np.array(times), counts=counts, n=n, positions=positions
     )
@@ -290,12 +278,13 @@ def hitting_before(
     """MC estimate of the joint event {T_K <= t1} and {t1 < tau}."""
     pos = _start_cloud(model, x, n)
     hit = target.contains(pos)
+    rho = model.domain.rho_boundary(pos)
     n_steps = int(np.ceil(t1 / dt - 1e-9))
     for step in range(n_steps):
         if pos.shape[0] == 0:
             break
-        new, alive, _ = _step(model, pos, step_generator(seed, step), dt, bridge)
-        pos, hit = new[alive], hit[alive]
+        new, alive, rho_new = _step(model, pos, step_generator(seed, step), dt, bridge, rho)
+        pos, hit, rho = new[alive], hit[alive], rho_new[alive]
         hit |= target.contains(pos)
     p = float(hit.sum()) / n
     return p, float(np.sqrt(p * (1 - p) / n))
@@ -318,14 +307,15 @@ def tube_probability(
     center = np.atleast_1d(np.asarray(y, dtype=float))
     k1 = int(np.ceil(t1 / dt - 1e-9))
     k2 = int(np.ceil(2 * t1 / dt - 1e-9))
+    rho = model.domain.rho_boundary(pos)
     for step in range(k2):
         if pos.shape[0] == 0:
             break
-        new, alive, _ = _step(model, pos, step_generator(seed, step), dt, bridge)
-        pos = new[alive]
+        new, alive, rho_new = _step(model, pos, step_generator(seed, step), dt, bridge, rho)
+        pos, rho = new[alive], rho_new[alive]
         if step + 1 >= k1:
             inside = np.linalg.norm(pos - center, axis=1) <= radius
-            pos = pos[inside]
+            pos, rho = pos[inside], rho[inside]
     p = float(pos.shape[0]) / n
     return p, float(np.sqrt(p * (1 - p) / n))
 
@@ -358,6 +348,7 @@ def split_survival_profile(
     m = xs.shape[0]
     times = sorted(float(t) for t in times)
     pos = np.repeat(xs[:, None, :], n, axis=1)  # (m, n, d)
+    rho = model.domain.rho_boundary(pos.reshape(-1, model.dim)).reshape(m, n)
     log_surv = np.zeros(m)
     rel_var = np.zeros(m)
     out = np.full((len(times), m), np.nan)
@@ -367,8 +358,9 @@ def split_survival_profile(
     n_steps = max(snap)
     ti = 0
     for step in range(n_steps):
-        x_new, alive, _ = _step(model, pos, step_generator(seed, step), dt, bridge)
+        x_new, alive, rho_new = _step(model, pos, step_generator(seed, step), dt, bridge, rho)
         pos = np.where(alive[..., None], x_new, np.nan)
+        rho = np.where(alive, rho_new, np.nan)
         if (step + 1) % w_steps == 0 and step + 1 < n_steps:
             for i in range(m):
                 alive_idx = np.flatnonzero(np.isfinite(pos[i][:, 0]))
@@ -381,7 +373,7 @@ def split_survival_profile(
                 rel_var[i] += (1 - frac) / (frac * n)
                 gi = stream_generator(seed, purpose=(step + 1) * 1000 + i)
                 donors = alive_idx[gi.integers(0, k, size=n)]
-                pos[i] = pos[i][donors]
+                pos[i], rho[i] = pos[i][donors], rho[i][donors]
         while ti < len(times) and snap[ti] == step + 1:
             for i in range(m):
                 k = int(np.isfinite(pos[i][:, 0]).sum())

@@ -5,7 +5,9 @@ finite-difference Dirichlet eigenproblems, Gaussian image series,
 adaptive quadrature, dense eigensolvers and brute-force enumerations.
 The Monte-Carlo kernels at the end are the plain forms of the package's
 step, rebirth and binning code: the crossing probability on every path,
-one donor draw per dead particle, and one `searchsorted` per axis.
+one donor draw per dead particle, and one `searchsorted` per axis.  The
+boundary geometry before them keeps each domain's own open-domain test and
+normal encoding (the axis itself, a nearest-axis index, unit vectors).
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 from scipy.stats import norm
 
+from qsd.domains import Box, Interval
+from qsd.models import ConstantIsotropic
 from qsd.rng import step_generator
 
 
@@ -228,6 +232,41 @@ def natural_scale_exit_time_mc(a: float, u: float, L: float, n: int, dt: float, 
     return float(t_exit.mean()), float(t_exit.std(ddof=1) / np.sqrt(n))
 
 
+# --- boundary geometry, one encoding per domain -----------------------------------
+
+
+def contains_reference(domain, x) -> np.ndarray:
+    """Open-domain membership by each domain's own strict inequalities."""
+    p = np.asarray(x, dtype=float).reshape(-1, domain.dim)
+    if isinstance(domain, Interval):
+        return (p[:, 0] > domain.lo) & (p[:, 0] < domain.hi)
+    if isinstance(domain, Box):
+        return ((p > np.asarray(domain.lo)) & (p < np.asarray(domain.hi))).all(axis=1)
+    return np.linalg.norm(p - np.asarray(domain.center), axis=1) < domain.radius
+
+
+def normal_sigma2_reference(model, x) -> np.ndarray:
+    """sigma_n^2 for a constant or diagonal Hoelder field, the normal
+    encoded per domain: the axis itself on an interval, the `argmin` axis
+    of the face gaps on a box (a tie goes to the lower axis), and the unit
+    vector from the centre on a ball (the first axis at the centre)."""
+    dom, f = model.domain, model.diffusion
+    p = np.asarray(x, dtype=float).reshape(-1, model.dim)
+    if isinstance(f, ConstantIsotropic):
+        return np.full(p.shape[0], f.sigma**2)
+    s = f.base + f.amp * np.abs(p - np.asarray(f.center, dtype=float)) ** f.exponent
+    if isinstance(dom, Interval):
+        return s[:, 0] ** 2
+    if isinstance(dom, Box):
+        gaps = np.minimum(p - np.asarray(dom.lo), np.asarray(dom.hi) - p)
+        return s[np.arange(p.shape[0]), gaps.argmin(axis=1)] ** 2
+    v = p - np.asarray(dom.center)
+    r = np.linalg.norm(v, axis=1, keepdims=True)
+    dirs = np.where(r > 1e-300, v / np.maximum(r, 1e-300), 0.0)
+    dirs[r[:, 0] <= 1e-300] = np.eye(model.dim)[0]
+    return ((s * dirs) ** 2).sum(axis=1)
+
+
 # --- Monte-Carlo kernels, unoptimised ------------------------------------------
 
 
@@ -236,7 +275,7 @@ def step_reference(model, x, g, dt, bridge):
     probability exp(-2 rho(x) rho(x_new) / (sigma_n^2 dt)) evaluated on
     every path.  Draws k normal vectors, then k uniforms, from `g`."""
     shape = x.shape
-    z = g.standard_normal((shape[-2], getattr(model.diffusion, "r", 0) or model.dim))
+    z = g.standard_normal((shape[-2], model.dim))
     u = g.random(shape[-2])
     lead = math.prod(shape[:-2])
     if lead > 1:
@@ -247,7 +286,7 @@ def step_reference(model, x, g, dt, bridge):
     alive = rho1 > 0
     if bridge:
         rho0 = model.domain.rho_boundary(x)
-        sig2 = model.normal_sigma2(x)
+        sig2 = normal_sigma2_reference(model, x)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             p_cross = np.exp(-2.0 * rho0 * np.maximum(rho1, 0.0) / (sig2 * dt))
         p_cross = np.where(sig2 > 0, p_cross, 0.0)

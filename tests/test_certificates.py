@@ -251,6 +251,18 @@ def test_gradient_windowed_point_without_survivors_is_inconclusive():
         assert not np.isnan([c.bound, c.measured, c.se, c.tolerance]).any(), c.line()
 
 
+def test_gradient_time_without_survivors_raises(monkeypatch):
+    recorded = []
+    add = VerificationReport.add
+    monkeypatch.setattr(
+        VerificationReport, "add", lambda self, check: recorded.append(check.name) or add(self, check)
+    )
+    # survival from 0.5 at t = 5 is about 2e-11: every path of both points dies
+    with pytest.raises(ZeroSurvivorError, match=r"no survivors at t=5 .* out of 100 paths each"):
+        gradient_profile(brownian_interval(0, 1), [5.0], [[0.5], [0.3]], 100, 3, dts=[1e-2])
+    assert recorded == []
+
+
 def test_gradient_bm_shape_small_times():
     model = brownian_interval(0, 1)
     times = [1e-2, 1e-1]

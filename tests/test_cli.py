@@ -165,6 +165,17 @@ def test_bundled_configs_run(tmp_path):
         assert (out / "report.csv").exists()
 
 
+def test_estimator_without_evidence_is_a_one_line_error(tmp_path, capsys):
+    text = (ROOT / "perfbench" / "configs" / "decay_report.cfg").read_text()
+    text = text.replace("times = 0.1 0.2 0.3 0.4", "times = 20 21 22").replace("n = 4000", "n = 100")
+    assert "times = 20 21 22" in text and "n = 100\n" in text
+    cfg = write(tmp_path, "decay.cfg", text)
+    assert main(["decay-report", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: pair0 ") and "no time with survivors" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_cli_bad_chain_file_reports_line(tmp_path, capsys):
     chain = write(tmp_path, "bad.chain", "2\n0.9 0.4\n0.1 0.1\n")
     cfg = finite_cfg(tmp_path, chain)

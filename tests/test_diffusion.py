@@ -5,6 +5,7 @@ from qsd.domains import Ball, BallTarget, Box, DomainError, InnerCompact, Interv
 from qsd.models import (
     ConstantIsotropic,
     DiffusionModel,
+    MatrixField,
     ZeroDrift,
     brownian_interval,
     build_model,
@@ -22,7 +23,13 @@ from qsd.simulate import (
     survival_snapshots,
 )
 
-from oracles import reflection_survival, step_reference, survival_series
+from oracles import (
+    contains_reference,
+    normal_sigma2_reference,
+    reflection_survival,
+    step_reference,
+    survival_series,
+)
 
 
 def frozen_model(domain=Interval(0.0, 1.0)):
@@ -60,6 +67,86 @@ def test_domain_rho_is_1_lipschitz():
         lhs = np.abs(dom.rho_boundary(x) - dom.rho_boundary(y))
         rhs = np.linalg.norm(x - y, axis=1)
         assert (lhs <= rhs + 1e-12).all()
+
+
+NORMAL_SPECS = [
+    ("interval 0 1", "constant 0.7"),
+    ("interval 0 1", "diagonal_holder 1.0 0.3 0.5 0.2"),
+    ("box 0 0 1 2", "constant 0.7"),
+    ("box 0 0 1 2", "diagonal_holder 1.0 0.3 0.5 0.5 1.0"),
+    ("box 0 0 0 1 1.5 2", "constant 0.7"),
+    ("box 0 0 0 1 1.5 2", "diagonal_holder 0.8 0.4 0.5 0.2 0.9 1.3"),
+    ("ball 0 0 1", "constant 0.7"),
+    ("ball 0 0 1", "diagonal_holder 0.7 0.2 0.5 0.1 -0.2"),
+]
+
+# points with exactly equal gaps to two faces (of different axes on a box),
+# and the ball centre (also as an offset whose norm underflows to 0)
+TIES = {
+    "interval 0 1": [[0.5]],
+    "box 0 0 1 2": [[0.25, 0.25], [0.5, 0.5], [0.75, 1.75], [0.0, 0.0]],
+    "box 0 0 0 1 1.5 2": [[0.75, 0.25, 0.25], [0.25, 1.25, 1.0], [0.5, 0.75, 0.5], [0.5, 1.0, 1.5]],
+    "ball 0 0 1": [[0.0, 0.0], [1e-200, 0.0], [0.0, -1e-200]],
+}
+
+
+@pytest.mark.parametrize("domain_spec,diffusion_spec", NORMAL_SPECS)
+def test_normal_sigma2_equals_per_domain_encoding(domain_spec, diffusion_spec):
+    model = build_model(domain_spec, "zero", diffusion_spec)
+    x = np.vstack([model.domain.uniform(np.random.default_rng(2), 2000), TIES[domain_spec]])
+    assert np.array_equal(model.normal_sigma2(x), normal_sigma2_reference(model, x))
+    if model.dim > 1 and "holder" in diffusion_spec:
+        # at these points the tied axes carry different variances
+        s = model.diffusion._sig(x[2000:])
+        assert (s[:, 0] != s[:, 1]).all()
+
+
+@pytest.mark.parametrize(
+    "domain,points",
+    [
+        (Interval(0.0, 1.0), [[0.0], [1.0], [5e-324], [np.nextafter(1.0, 0.0)], [-0.0], [np.nan], [np.inf], [-np.inf]]),
+        (
+            Box((0.0, -1.0), (1.0, 2.0)),
+            [
+                [0.0, 1.0], [1.0, 2.0], [0.0, -1.0], [0.5, 2.0], [5e-324, 1.0], [0.5, np.nextafter(2.0, 0.0)],
+                [np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0)], [np.nan, 1.0], [0.5, np.nan],
+                [0.5, np.inf], [-np.inf, 1.0], [np.inf, np.inf],
+            ],
+        ),
+        (
+            Ball((0.5, -0.25), 0.75),
+            [
+                [1.25, -0.25], [0.5, -1.0], [np.nextafter(1.25, 0.0), -0.25], [0.5, np.nextafter(0.5, 0.0)],
+                [0.5, -0.25], [np.nan, 0.0], [0.0, np.nan], [np.inf, 0.0], [0.0, -np.inf],
+            ],
+        ),
+    ],
+)
+def test_contains_equals_per_domain_inequalities(domain, points):
+    x = np.array(points)
+    inside = domain.contains(x)
+    assert np.array_equal(inside, contains_reference(domain, x))
+    assert np.array_equal(inside, domain.rho_boundary(x) > 0)
+    assert inside.any() and not inside.all()
+
+
+def test_square_matrix_field_steps_like_the_constant_field():
+    box = Box((0.0, 0.0), (1.0, 2.0))
+    const = DiffusionModel(box, ZeroDrift(), ConstantIsotropic(0.8), 0.64, 0.64, 0.0)
+    eye = MatrixField(lambda x: np.broadcast_to(0.8 * np.eye(2), (x.shape[0], 2, 2)))
+    matrix = DiffusionModel(box, ZeroDrift(), eye, 0.64, 0.64, 0.0)
+    x = box.uniform(np.random.default_rng(4), 500)
+    assert np.array_equal(matrix.normal_sigma2(x), const.normal_sigma2(x))
+    a = _step(const, x, step_generator(3, 0), 0.01, True, box.rho_boundary(x))
+    b = _step(matrix, x, step_generator(3, 0), 0.01, True, box.rho_boundary(x))
+    for u, v in zip(a, b):
+        assert np.array_equal(u, v)
+    # on a disc the normal is no longer an axis: s = 0.8 R, R a rotation
+    c, s = np.cos(0.3), np.sin(0.3)
+    rot = MatrixField(lambda x: np.broadcast_to(0.8 * np.array([[c, -s], [s, c]]), (x.shape[0], 2, 2)))
+    disc = DiffusionModel(Ball((0.0, 0.0), 1.0), ZeroDrift(), rot, 0.64, 0.64, 0.0)
+    y = disc.domain.uniform(np.random.default_rng(5), 500)
+    assert np.allclose(disc.normal_sigma2(y), 0.64, rtol=1e-14, atol=0)
 
 
 def test_inner_compact():
@@ -257,11 +344,12 @@ def test_step_stack_equals_separate_calls(specs, bridge):
     model = build_model(*specs)
     xs = model.domain.uniform(np.random.default_rng(5), 3 * 40).reshape(3, 40, model.dim)
     xs[1, 7] = np.nan  # a dead row, as split_survival_profile keeps them
-    x_new, alive, _ = _step(model, xs, step_generator(9, 4), 0.01, bridge)
+    rho = model.domain.rho_boundary(xs.reshape(-1, model.dim)).reshape(3, 40)
+    x_new, alive, _ = _step(model, xs, step_generator(9, 4), 0.01, bridge, rho)
     assert alive.shape == (3, 40)
     assert alive.any() and not alive.all()
     for i in range(3):
-        xi, ai, _ = _step(model, xs[i], step_generator(9, 4), 0.01, bridge)
+        xi, ai, _ = _step(model, xs[i], step_generator(9, 4), 0.01, bridge, rho[i])
         assert np.array_equal(x_new[i], xi, equal_nan=True)
         assert np.array_equal(alive[i], ai)
 
@@ -282,7 +370,7 @@ def test_step_stack_equals_separate_calls(specs, bridge):
 )
 def test_step_alive_is_open_domain_membership(domain, points):
     x = np.array(points)
-    x_new, alive, _ = _step(frozen_model(domain), x, step_generator(1, 0), 0.01, False)
+    x_new, alive, _ = _step(frozen_model(domain), x, step_generator(1, 0), 0.01, False, domain.rho_boundary(x))
     assert np.array_equal(x_new, x, equal_nan=True)  # boundary points stay on the boundary
     assert np.array_equal(alive, domain.contains(x_new))
     assert alive.any() and not alive.all()
@@ -306,7 +394,7 @@ def test_step_equals_reference_near_the_boundary(specs, bridge):
         assert np.array_equal(new_x, ref_x)
         assert np.array_equal(alive, ref_alive)
         assert np.array_equal(rho_new, model.domain.rho_boundary(new_x))
-        _, alive_no_rho, _ = _step(model, x, step_generator(7, step), dt, bridge)
+        _, alive_no_rho, _ = _step(model, x, step_generator(7, step), dt, bridge, model.domain.rho_boundary(x))
         assert np.array_equal(alive_no_rho, ref_alive)
         bridge_kills += int((model.domain.contains(new_x) & ~alive).sum())
         x = new_x[alive]
@@ -342,7 +430,7 @@ def test_step_fixed_uniform_equals_reference_across_the_band_edge(u):
     q = np.array([1.0, 10.0, 30.0, 36.0, 37.9, 38.1, 50.0, 100.0, 5000.0])
     x = np.sqrt(q * dt / 2)[:, None]
     assert np.array_equal(model.domain.rho_boundary(x) ** 2 >= _BAND * dt, q >= 2 * _BAND)
-    _, alive, _ = _step(model, x, _FixedNoise(u), dt, True)
+    _, alive, _ = _step(model, x, _FixedNoise(u), dt, True, model.domain.rho_boundary(x))
     _, ref_alive = step_reference(model, x, _FixedNoise(u), dt, True)
     assert np.array_equal(alive, ref_alive)
     if u == 0.0:  # out-of-band paths are still killed wherever p > 0
