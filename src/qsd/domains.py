@@ -3,10 +3,12 @@
 For points x of shape (n, d), `rho_boundary(x)` is the exact signed
 distance to the boundary, positive inside, and `contains(x)` is the open
 domain rho_boundary(x) > 0 (a row with a NaN is never inside).
-`normal_sigma2(x, diffusion)` builds the unit normal nu, shape (n, d), of
-the boundary face nearest to x and returns `diffusion.normal_sigma2(x, nu)`
-= |s(x)^T nu|^2, so the sign of nu does not enter.  On a box a tie goes to
-the lower axis; at the centre of a ball nu is the first axis.
+`normal_sigma2(x, diffusion, s)` builds the unit normal nu, shape (n, d),
+of the boundary face nearest to x and returns `diffusion.normal_sigma2(x,
+nu, s)` = |s(x)^T nu|^2, so the sign of nu does not enter; `s` is the field
+at x if the caller has it.  On a box nu is e_k for the first axis k of
+least face gap, so a tie goes to the lower axis; at the centre of a ball nu
+is the first axis.
 """
 
 from __future__ import annotations
@@ -32,6 +34,14 @@ def _as_points(x, dim: int) -> np.ndarray:
     return p
 
 
+def _sum_squares(a: np.ndarray) -> np.ndarray:
+    """Row sums of squares of an (n, d) array, bit for bit `(a * a).sum(axis=1)`: up to
+    7 columns numpy adds them in order, as this faster column loop does."""
+    if a.shape[1] > 7:
+        return (a * a).sum(axis=1)
+    return reduce(np.add, [c * c for c in a.T])
+
+
 @dataclass(frozen=True)
 class Interval:
     lo: float
@@ -54,9 +64,9 @@ class Interval:
         p = _as_points(x, 1)[:, 0]
         return np.minimum(p - self.lo, self.hi - p)
 
-    def normal_sigma2(self, x, diffusion) -> np.ndarray:
+    def normal_sigma2(self, x, diffusion, s=None) -> np.ndarray:
         p = _as_points(x, 1)
-        return diffusion.normal_sigma2(p, np.ones_like(p))
+        return diffusion.normal_sigma2(p, np.ones_like(p), s)
 
     def boundary_points(self) -> np.ndarray:
         return np.array([[self.lo], [self.hi]])
@@ -83,6 +93,7 @@ class Box:
             raise ValueError("need lo < hi per axis")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "_eye", np.eye(len(lo)))
 
     @property
     def dim(self) -> int:
@@ -102,17 +113,14 @@ class Box:
     def rho_boundary(self, x) -> np.ndarray:
         return reduce(np.minimum, self._face_gaps(_as_points(x, self.dim)))
 
-    def normal_sigma2(self, x, diffusion) -> np.ndarray:
+    def normal_sigma2(self, x, diffusion, s=None) -> np.ndarray:
         p = _as_points(x, self.dim)
         gaps = self._face_gaps(p)
-        rho = reduce(np.minimum, gaps)
-        # nu = e_k for the first axis k whose face gap is rho
-        nu = np.zeros_like(p)
-        free = np.ones(p.shape[0], dtype=bool)
-        for k, gap in enumerate(gaps):
-            nu[:, k] = hit = free & (gap == rho)
-            free &= ~hit
-        return diffusion.normal_sigma2(p, nu)
+        k, least = np.zeros(p.shape[0], dtype=np.intp), gaps[0]
+        for j, gap in enumerate(gaps[1:], 1):
+            k[gap < least] = j
+            least = np.minimum(least, gap)
+        return diffusion.normal_sigma2(p, self._eye.take(k, axis=0), s)
 
     def boundary_points(self) -> np.ndarray:
         # face centers
@@ -151,6 +159,7 @@ class Ball:
         if self.radius <= 0:
             raise ValueError("radius must be positive")
         object.__setattr__(self, "center", c)
+        object.__setattr__(self, "_c", np.array(c))
 
     @property
     def dim(self) -> int:
@@ -164,21 +173,16 @@ class Ball:
         return self.rho_boundary(x) > 0
 
     def rho_boundary(self, x) -> np.ndarray:
-        p = _as_points(x, self.dim)
-        return self.radius - np.linalg.norm(p - np.asarray(self.center), axis=1)
+        return self.radius - np.sqrt(_sum_squares(_as_points(x, self.dim) - self._c))
 
-    def normal_dirs(self, x) -> np.ndarray:
-        """Unit vectors from the centre through each point; the first axis at the centre."""
-        v = _as_points(x, self.dim) - np.asarray(self.center)
-        r = np.linalg.norm(v, axis=1)
+    def normal_sigma2(self, x, diffusion, s=None) -> np.ndarray:
+        p = _as_points(x, self.dim)
+        v = p - self._c  # nu = v / |v|, the first axis at the centre
+        r = np.sqrt(_sum_squares(v))
         centre = r <= 1e-300
-        v[centre] = np.eye(self.dim)[0]
-        r[centre] = 1.0
-        return v / r[:, None]
-
-    def normal_sigma2(self, x, diffusion) -> np.ndarray:
-        p = _as_points(x, self.dim)
-        return diffusion.normal_sigma2(p, self.normal_dirs(p))
+        if centre.any():
+            v[centre], r[centre] = np.eye(self.dim)[0], 1.0
+        return diffusion.normal_sigma2(p, v / r[:, None], s)
 
     def boundary_points(self) -> np.ndarray:
         c = np.asarray(self.center)

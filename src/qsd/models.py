@@ -7,6 +7,8 @@ rather than proving them.  Built-in fields keep exact bounds.
 A diffusion field s(x) is square, d x d: `apply(x, z)` is s(x) z, and
 `normal_sigma2(x, nu)` is |s(x)^T nu|^2 for the unit normals nu, shape
 (n, d), of the nearest boundary faces that the domain builds (`domains`).
+Both take `s` = `at(x)`, s(x) in the field's own form (a scalar, the (n, d)
+diagonal or (n, d, d) matrices), so a step evaluates the field only once.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .domains import Ball, Box, Domain, Interval
+from .domains import Ball, Box, Domain, Interval, _sum_squares
 from .report import VerificationReport
 from .rng import stream_generator
 
@@ -34,10 +36,13 @@ class ConstantIsotropic:
 
     sigma: float
 
-    def apply(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    def at(self, x: np.ndarray) -> float:
+        return self.sigma
+
+    def apply(self, x: np.ndarray, z: np.ndarray, s=None) -> np.ndarray:
         return self.sigma * z
 
-    def normal_sigma2(self, x: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    def normal_sigma2(self, x: np.ndarray, nu: np.ndarray, s=None) -> np.ndarray:
         # |sigma nu|^2 = sigma^2 for a unit vector nu
         return np.full(x.shape[0], self.sigma**2)
 
@@ -58,18 +63,20 @@ class DiagonalHolder:
     exponent: float = 0.5
     center: tuple[float, ...] = (0.0,)
 
-    def _sig(self, x: np.ndarray) -> np.ndarray:
-        c = np.asarray(self.center, dtype=float)
-        return self.base + self.amp * np.abs(x - c) ** self.exponent
+    def __post_init__(self):
+        object.__setattr__(self, "_c", np.asarray(self.center, dtype=float))
 
-    def apply(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return self._sig(x) * z
+    def at(self, x: np.ndarray) -> np.ndarray:
+        return self.base + self.amp * np.abs(x - self._c) ** self.exponent
 
-    def normal_sigma2(self, x: np.ndarray, nu: np.ndarray) -> np.ndarray:
-        return ((self._sig(x) * nu) ** 2).sum(axis=1)
+    def apply(self, x: np.ndarray, z: np.ndarray, s=None) -> np.ndarray:
+        return (self.at(x) if s is None else s) * z
+
+    def normal_sigma2(self, x: np.ndarray, nu: np.ndarray, s=None) -> np.ndarray:
+        return _sum_squares((self.at(x) if s is None else s) * nu)
 
     def bounds_on(self, pts: np.ndarray) -> tuple[float, float]:
-        s = self._sig(pts)
+        s = self.at(pts)
         # eigenvalues of ss* are the squared diagonal entries
         return float((s**2).min()), float((s**2).max())
 
@@ -80,11 +87,14 @@ class MatrixField:
 
     fn: Callable[[np.ndarray], np.ndarray]
 
-    def apply(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return np.einsum("nij,nj->ni", self.fn(x), z)
+    def at(self, x: np.ndarray) -> np.ndarray:
+        return self.fn(x)
 
-    def normal_sigma2(self, x: np.ndarray, nu: np.ndarray) -> np.ndarray:
-        return (np.einsum("nij,ni->nj", self.fn(x), nu) ** 2).sum(axis=1)
+    def apply(self, x: np.ndarray, z: np.ndarray, s=None) -> np.ndarray:
+        return np.einsum("nij,nj->ni", self.fn(x) if s is None else s, z)
+
+    def normal_sigma2(self, x: np.ndarray, nu: np.ndarray, s=None) -> np.ndarray:
+        return (np.einsum("nij,ni->nj", self.fn(x) if s is None else s, nu) ** 2).sum(axis=1)
 
     def bounds_on(self, pts: np.ndarray) -> tuple[float, float]:
         s = self.fn(pts)
@@ -123,8 +133,11 @@ class LinearDrift:
     gain: float
     target: tuple[float, ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "_t", np.asarray(self.target, dtype=float))
+
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.gain * (x - np.asarray(self.target, dtype=float))
+        return self.gain * (x - self._t)
 
     def bound_on(self, pts: np.ndarray) -> float:
         return float(
@@ -163,8 +176,8 @@ class DiffusionModel:
     def dim(self) -> int:
         return self.domain.dim
 
-    def normal_sigma2(self, x: np.ndarray) -> np.ndarray:
-        return self.domain.normal_sigma2(x, self.diffusion)
+    def normal_sigma2(self, x: np.ndarray, s=None) -> np.ndarray:
+        return self.domain.normal_sigma2(x, self.diffusion, s)
 
 
 def validate_model(model: DiffusionModel, n: int = 256, seed: int = 0) -> VerificationReport:

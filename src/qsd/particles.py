@@ -9,7 +9,7 @@ import numpy as np
 from .domains import DomainError
 from .measures import BinGrid, Measure, histogram_from_samples
 from .models import DiffusionModel
-from .rng import step_generator, stream_generator
+from .rng import _loop_generator, step_generator, stream_generator
 from .simulate import ZeroSurvivorError, _start_cloud, _step, survival_snapshots
 
 
@@ -170,9 +170,9 @@ def fleming_viot_run(
     occ = np.zeros(grid.size)
     rebirth_count = np.zeros(n_steps, dtype=np.int64)
     total = 0
-    rho = model.domain.rho_boundary(pos)
+    rho, own = model.domain.rho_boundary(pos), _loop_generator()
     for step in range(n_steps):
-        g = step_generator(seed, step)  # also draws the rebirth donors
+        g = step_generator(seed, step, own)  # also draws the rebirth donors
         pos, alive, rho = _step(model, pos, g, dt, bridge, rho)
         dead = np.flatnonzero(~alive)
         if dead.size:

@@ -11,6 +11,10 @@ ROADMAP.md.
 
 Probe-level seeds are derived from the master seed with `substream`, so
 independent probes never share a stream.
+
+A stepping loop owns one generator, held by no other code, and re-keys it
+for each step to the state of a fresh `Philox(key=(seed, step))`: that
+skips the OS-entropy seeding a new Philox does before its key overwrites it.
 """
 
 from __future__ import annotations
@@ -26,12 +30,24 @@ def substream(master_seed: int, *ids: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def step_generator(seed: int, step: int) -> np.random.Generator:
-    """Generator for one simulation step, keyed by (seed, step)."""
-    key = np.array([int(seed) & (2**64 - 1), int(step) & (2**64 - 1)], dtype=_U64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _key(seed: int, step: int) -> np.ndarray:
+    return np.array([int(seed) & (2**64 - 1), int(step) & (2**64 - 1)], dtype=_U64)
+
+
+def _loop_generator() -> np.random.Generator:
+    """A generator for one stepping loop to own and re-key with `step_generator`."""
+    return np.random.Generator(np.random.Philox(key=0))
+
+
+def step_generator(seed: int, step: int, g: np.random.Generator | None = None) -> np.random.Generator:
+    """Generator for step `step`: the loop's own `g`, or a new one, as a fresh Philox keyed (seed, step)."""
+    g = _loop_generator() if g is None else g
+    zero = np.zeros(4, dtype=_U64)
+    g.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": zero, "key": _key(seed, step)},
+                             "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return g
 
 
 def stream_generator(seed: int, purpose: int = 0) -> np.random.Generator:
     """Sequential generator for non-stepwise draws (initial clouds, grids)."""
-    return step_generator(seed, (1 << 62) + int(purpose))
+    return np.random.Generator(np.random.Philox(key=_key(seed, (1 << 62) + int(purpose))))

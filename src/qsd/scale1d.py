@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .report import VerificationReport
-from .rng import step_generator
+from .rng import _loop_generator, step_generator
 
 _A_TINY = 1e-12
 
@@ -143,11 +143,11 @@ def natural_scale_exit_mc(
     exit_time = np.full(n, np.inf)
     idx = np.arange(n)
     n_steps = int(np.ceil(horizon / dt - 1e-9))
-    sqdt = np.sqrt(dt)
+    sqdt, own = np.sqrt(dt), _loop_generator()
     for step in range(n_steps):
         if idx.size == 0:
             break
-        g = step_generator(seed, step)
+        g = step_generator(seed, step, own)
         z = g.standard_normal(idx.size)
         un = g.random(idx.size)
         sig = 1.0 + 2.0 * a * pos[idx]

@@ -11,12 +11,13 @@ correction is switchable for bias studies.
 
 The estimators here and in `particles` advance their paths through one
 kernel, `_step`, which draws the step's noise from a per-(seed, step)
-Philox block (see `rng`) in slot order: slot j serves row j of the paths
-passed in.  Most of them compact absorbed paths away, so a path's slot is
-its rank among the paths still alive at that step.  Its variate is then a
-function of (seed, step, alive slot), not of its original index: it
-depends on which paths died earlier, and splitting a batch changes the
-realisations.  Keying the noise by path id is item 1 of ROADMAP.md.
+Philox block (see `rng`; each loop re-keys one generator of its own) in
+slot order: slot j serves row j of the paths passed in.  Most of them
+compact absorbed paths away, so a path's slot is its rank among the paths
+still alive at that step.  Its variate is then a function of (seed, step,
+alive slot), not of its original index: it depends on which paths died
+earlier, and splitting a batch changes the realisations.  Keying the noise
+by path id is item 1 of ROADMAP.md.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .domains import DomainError
 from .models import DiffusionModel
-from .rng import step_generator, stream_generator
+from .rng import _loop_generator, step_generator, stream_generator
 
 
 class NumericalBlowupError(RuntimeError):
@@ -100,8 +101,9 @@ def _step(model, x, g, dt, bridge, rho):
     Brownian-bridge crossing test u < p, p = exp(-2 rho(x) rho(x_new) /
     (sigma_n^2 dt)), does not fire; sigma_n^2 = |s(x)^T nu|^2 is
     `model.normal_sigma2(x)`, nu the unit normal of the nearest boundary
-    face.  `alive` and `rho_new` = rho_boundary(x_new) have shape
-    x.shape[:-1]; non-finite rows of x_new are never alive.
+    face; the field s(x) is evaluated once and feeds s(x) z and sigma_n^2.
+    `alive` and `rho_new` = rho_boundary(x_new) have shape x.shape[:-1];
+    non-finite rows of x_new are never alive.
 
     p is only evaluated in the band rho(x) rho(x_new) < _BAND sigma_n^2 dt,
     with sigma_n^2 each path's own normal variance, and on paths whose
@@ -116,11 +118,12 @@ def _step(model, x, g, dt, bridge, rho):
     if lead > 1:
         z, u = np.tile(z, (lead, 1)), np.tile(u, lead)
     x = x.reshape(-1, shape[-1])
-    x_new = x + model.drift(x) * dt + model.diffusion.apply(x, z) * np.sqrt(dt)
+    s = model.diffusion.at(x)
+    x_new = x + model.drift(x) * dt + model.diffusion.apply(x, z, s) * np.sqrt(dt)
     rho1 = model.domain.rho_boundary(x_new)
     alive = rho1 > 0
     if bridge:
-        rho0, sig2 = rho.reshape(-1), model.normal_sigma2(x)
+        rho0, sig2 = rho.reshape(-1), model.normal_sigma2(x, s)
         band = np.flatnonzero(alive & ((rho0 * rho1 < sig2 * (_BAND * dt)) | (u == 0)))
         r0, r1, s2 = rho0[band], rho1[band], sig2[band]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -157,9 +160,9 @@ def simulate_path(
     if target is not None and bool(target.contains(x)[0]):
         hit_time = 0.0
     absorption_time = np.inf
-    rho = model.domain.rho_boundary(x)
+    rho, g = model.domain.rho_boundary(x), _loop_generator()
     for step in range(config.n_steps):
-        x_new, alive, rho_new = _step(model, x, step_generator(config.seed, step), dt, bridge, rho)
+        x_new, alive, rho_new = _step(model, x, step_generator(config.seed, step, g), dt, bridge, rho)
         if not np.isfinite(x_new).all():
             raise NumericalBlowupError(step)
         t = (step + 1) * dt
@@ -229,7 +232,7 @@ def survival_snapshots(
     positions: dict[float, np.ndarray] = {}
     ti = 0
     n_steps = max(snap) if snap else 0
-    rho = model.domain.rho_boundary(x)
+    rho, g = model.domain.rho_boundary(x), _loop_generator()
     for step in range(n_steps + 1):
         while ti < len(times) and snap[ti] == step:
             counts[ti] = x.shape[0]
@@ -238,7 +241,7 @@ def survival_snapshots(
             ti += 1
         if step == n_steps or x.shape[0] == 0:
             break
-        x_new, alive, rho_new = _step(model, x, step_generator(seed, step), dt, bridge, rho)
+        x_new, alive, rho_new = _step(model, x, step_generator(seed, step, g), dt, bridge, rho)
         x, rho = x_new[alive], rho_new[alive]
     return SnapshotResult(
         times=np.array(times), counts=counts, n=n, positions=positions
@@ -278,12 +281,12 @@ def hitting_before(
     """MC estimate of the joint event {T_K <= t1} and {t1 < tau}."""
     pos = _start_cloud(model, x, n)
     hit = target.contains(pos)
-    rho = model.domain.rho_boundary(pos)
+    rho, g = model.domain.rho_boundary(pos), _loop_generator()
     n_steps = int(np.ceil(t1 / dt - 1e-9))
     for step in range(n_steps):
         if pos.shape[0] == 0:
             break
-        new, alive, rho_new = _step(model, pos, step_generator(seed, step), dt, bridge, rho)
+        new, alive, rho_new = _step(model, pos, step_generator(seed, step, g), dt, bridge, rho)
         pos, hit, rho = new[alive], hit[alive], rho_new[alive]
         hit |= target.contains(pos)
     p = float(hit.sum()) / n
@@ -307,11 +310,11 @@ def tube_probability(
     center = np.atleast_1d(np.asarray(y, dtype=float))
     k1 = int(np.ceil(t1 / dt - 1e-9))
     k2 = int(np.ceil(2 * t1 / dt - 1e-9))
-    rho = model.domain.rho_boundary(pos)
+    rho, g = model.domain.rho_boundary(pos), _loop_generator()
     for step in range(k2):
         if pos.shape[0] == 0:
             break
-        new, alive, rho_new = _step(model, pos, step_generator(seed, step), dt, bridge, rho)
+        new, alive, rho_new = _step(model, pos, step_generator(seed, step, g), dt, bridge, rho)
         pos, rho = new[alive], rho_new[alive]
         if step + 1 >= k1:
             inside = np.linalg.norm(pos - center, axis=1) <= radius
@@ -345,6 +348,8 @@ def split_survival_profile(
     xs = np.asarray(xs, dtype=float)
     if xs.ndim == 1:
         xs = xs[:, None]
+    if not model.domain.contains(xs).all():
+        raise DomainError("some starts are not in the open domain")
     m = xs.shape[0]
     times = sorted(float(t) for t in times)
     pos = np.repeat(xs[:, None, :], n, axis=1)  # (m, n, d)
@@ -356,9 +361,9 @@ def split_survival_profile(
     snap = _snap_steps(times, dt)
     w_steps = max(1, int(round(window / dt)))
     n_steps = max(snap)
-    ti = 0
+    ti, g = 0, _loop_generator()
     for step in range(n_steps):
-        x_new, alive, rho_new = _step(model, pos, step_generator(seed, step), dt, bridge, rho)
+        x_new, alive, rho_new = _step(model, pos, step_generator(seed, step, g), dt, bridge, rho)
         pos = np.where(alive[..., None], x_new, np.nan)
         rho = np.where(alive, rho_new, np.nan)
         if (step + 1) % w_steps == 0 and step + 1 < n_steps:

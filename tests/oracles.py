@@ -245,6 +245,23 @@ def contains_reference(domain, x) -> np.ndarray:
     return np.linalg.norm(p - np.asarray(domain.center), axis=1) < domain.radius
 
 
+def rho_reference(domain, x) -> np.ndarray:
+    """Signed boundary distance by numpy's own reductions over the axes."""
+    p = np.asarray(x, dtype=float).reshape(-1, domain.dim)
+    if isinstance(domain, (Interval, Box)):
+        lo, hi = np.atleast_1d(domain.lo), np.atleast_1d(domain.hi)
+        return np.minimum(p - lo, hi - p).min(axis=1)
+    return domain.radius - np.linalg.norm(p - np.asarray(domain.center), axis=1)
+
+
+def diagonal_field_reference(f, x) -> np.ndarray:
+    """The (n, d) diagonal of a constant or diagonal Hoelder field at x."""
+    p = np.asarray(x, dtype=float)
+    if isinstance(f, ConstantIsotropic):
+        return np.full(p.shape, float(f.sigma))
+    return f.base + f.amp * np.abs(p - np.asarray(f.center, dtype=float)) ** f.exponent
+
+
 def normal_sigma2_reference(model, x) -> np.ndarray:
     """sigma_n^2 for a constant or diagonal Hoelder field, the normal
     encoded per domain: the axis itself on an interval, the `argmin` axis
@@ -254,7 +271,7 @@ def normal_sigma2_reference(model, x) -> np.ndarray:
     p = np.asarray(x, dtype=float).reshape(-1, model.dim)
     if isinstance(f, ConstantIsotropic):
         return np.full(p.shape[0], f.sigma**2)
-    s = f.base + f.amp * np.abs(p - np.asarray(f.center, dtype=float)) ** f.exponent
+    s = diagonal_field_reference(f, p)
     if isinstance(dom, Interval):
         return s[:, 0] ** 2
     if isinstance(dom, Box):

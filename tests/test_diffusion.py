@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qsd.domains import Ball, BallTarget, Box, DomainError, InnerCompact, Interval
+from qsd.domains import Ball, BallTarget, Box, DomainError, InnerCompact, Interval, _sum_squares
 from qsd.models import (
     ConstantIsotropic,
     DiffusionModel,
@@ -11,7 +11,7 @@ from qsd.models import (
     build_model,
     validate_model,
 )
-from qsd.rng import step_generator
+from qsd.rng import _loop_generator, step_generator
 from qsd.simulate import (
     _BAND,
     PathConfig,
@@ -25,8 +25,10 @@ from qsd.simulate import (
 
 from oracles import (
     contains_reference,
+    diagonal_field_reference,
     normal_sigma2_reference,
     reflection_survival,
+    rho_reference,
     step_reference,
     survival_series,
 )
@@ -97,7 +99,7 @@ def test_normal_sigma2_equals_per_domain_encoding(domain_spec, diffusion_spec):
     assert np.array_equal(model.normal_sigma2(x), normal_sigma2_reference(model, x))
     if model.dim > 1 and "holder" in diffusion_spec:
         # at these points the tied axes carry different variances
-        s = model.diffusion._sig(x[2000:])
+        s = model.diffusion.at(x[2000:])
         assert (s[:, 0] != s[:, 1]).all()
 
 
@@ -147,6 +149,84 @@ def test_square_matrix_field_steps_like_the_constant_field():
     disc = DiffusionModel(Ball((0.0, 0.0), 1.0), ZeroDrift(), rot, 0.64, 0.64, 0.0)
     y = disc.domain.uniform(np.random.default_rng(5), 500)
     assert np.allclose(disc.normal_sigma2(y), 0.64, rtol=1e-14, atol=0)
+
+
+# domains of dimension 1 to 3, each with its special points: the TIES above
+# (face-gap ties between axes on a box, the exact centre of a ball), and
+# points within 1e-3 of the boundary
+FIELD_ONCE_DOMAINS = {
+    "interval 0 1": [*TIES["interval 0 1"], [0.0005], [0.9999]],
+    "box -1 1": [[0.0], [0.9999]],
+    "box 0 0 1 2": [*TIES["box 0 0 1 2"], [0.9995, 1.0], [0.5, 1e-4]],
+    "box 0 0 0 1 1.5 2": [*TIES["box 0 0 0 1 1.5 2"], [1e-4, 0.7, 1.0]],
+    "ball 0.5 0.75": [[0.5], [0.5 + 1e-200], [1.2499]],
+    "ball 0 0 1": [*TIES["ball 0 0 1"], [0.6, -0.7998]],
+    "ball 0.1 -0.2 0.3 1": [[0.1, -0.2, 0.3], [0.1, -0.2, 0.3 + 1e-200], [0.1, 0.7999, 0.3]],
+}
+# per dimension, the centre of the Hoelder fields: it differs on each axis,
+# so tied axes carry different variances
+FIELD_CENTRES = {1: "0.3", 2: "0.1 0.7", 3: "0.2 0.9 1.3"}
+FIELD_KINDS = ["constant", "holder", "holder-amp0"]
+
+
+def field_once_model(domain_spec, kind, drift="zero"):
+    d = len(FIELD_ONCE_DOMAINS[domain_spec][0])
+    diffusion = {
+        "constant": "constant 0.7",
+        "holder": f"diagonal_holder 0.8 0.4 0.5 {FIELD_CENTRES[d]}",
+        "holder-amp0": f"diagonal_holder 0.8 0 0.5 {FIELD_CENTRES[d]}",
+    }[kind]
+    if drift == "linear":
+        drift = f"linear -0.5 {FIELD_CENTRES[d]}"
+    return build_model(domain_spec, drift, diffusion)
+
+
+def non_finite_rows(d):
+    """A NaN row (as split_survival_profile keeps dead paths), a NaN and
+    an infinity in each coordinate of an otherwise central point."""
+    rows = [np.full(d, np.nan)]
+    for k in range(d):
+        for v in (np.nan, np.inf, -np.inf):
+            r = np.full(d, 0.5)
+            r[k] = v
+            rows.append(r)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("kind", FIELD_KINDS)
+@pytest.mark.parametrize("domain_spec", list(FIELD_ONCE_DOMAINS))
+def test_field_once_geometry_equals_oracles(domain_spec, kind):
+    """The one-field-evaluation path and the column-wise geometry agree with
+    the reference encodings bit for bit, non-finite rows included."""
+    model = field_once_model(domain_spec, kind)
+    d, f = model.dim, model.diffusion
+    g = np.random.default_rng(8)
+    special = np.array(FIELD_ONCE_DOMAINS[domain_spec])
+    x = np.vstack([model.domain.uniform(g, 2000), special, non_finite_rows(d)])
+    z = g.standard_normal(x.shape)
+    with np.errstate(invalid="ignore"):
+        s = f.at(x)
+        ref = normal_sigma2_reference(model, x)
+        assert np.array_equal(model.normal_sigma2(x), ref, equal_nan=True)
+        assert np.array_equal(model.normal_sigma2(x, s), ref, equal_nan=True)
+        ref_apply = diagonal_field_reference(f, x) * z
+        assert np.array_equal(f.apply(x, z, s), ref_apply, equal_nan=True)
+        assert np.array_equal(f.apply(x, z), ref_apply, equal_nan=True)
+        assert np.array_equal(model.domain.rho_boundary(x), rho_reference(model.domain, x), equal_nan=True)
+    if d > 1 and kind == "holder" and domain_spec.startswith("box"):
+        assert (s[2000:2003, 0] != s[2000:2003, 1]).all()
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_sum_squares_equals_numpy_row_sums(d):
+    """`_sum_squares` is numpy's `(a * a).sum(axis=1)`, and its root numpy's
+    `norm(axis=1)`, bit for bit, for any row count and memory layout."""
+    g = np.random.default_rng(d)
+    for n in (1, 2, 3, 7, 8, 9, 33, 1000):
+        a = g.standard_normal((n, 2 * d)) * 10.0 ** g.integers(-8, 8, size=(n, 2 * d))
+        for view in (a[:, :d], np.asfortranarray(a[:, :d]), a[::-1, 1::2]):
+            assert np.array_equal(_sum_squares(view), (view * view).sum(axis=1))
+            assert np.array_equal(np.sqrt(_sum_squares(view)), np.linalg.norm(view, axis=1))
 
 
 def test_inner_compact():
@@ -312,6 +392,13 @@ def test_split_profile_reaches_deep_tails():
     assert abs(logp[0, 0] - oracle) < 0.35
 
 
+def test_split_profile_rejects_starts_outside_the_open_domain():
+    model = brownian_interval(0, 1)
+    for bad in ([[2.0], [0.5]], [[0.5], [1.0]], [[np.nan]]):
+        with pytest.raises(DomainError):
+            split_survival_profile(model, bad, [0.1], 100, 1, dt=1e-2, window=0.05)
+
+
 def test_blowup_detection():
     from qsd.models import CallableDrift
     from qsd.simulate import NumericalBlowupError
@@ -399,6 +486,33 @@ def test_step_equals_reference_near_the_boundary(specs, bridge):
         bridge_kills += int((model.domain.contains(new_x) & ~alive).sum())
         x = new_x[alive]
     assert (bridge_kills > 0) == bridge
+
+
+@pytest.mark.parametrize("kind", FIELD_KINDS)
+@pytest.mark.parametrize("domain_spec", list(FIELD_ONCE_DOMAINS))
+def test_field_once_step_equals_reference(domain_spec, kind):
+    """`_step`, with its one field evaluation and a re-keyed loop generator,
+    equals the reference step; non-finite rows are never alive."""
+    model = field_once_model(domain_spec, kind, drift="linear")
+    dt = 1e-3
+    cand = model.domain.uniform(np.random.default_rng(6), 20_000)
+    near = cand[model.domain.rho_boundary(cand) < 4 * np.sqrt(dt)][:800]
+    x = np.vstack([near, cand[:200], FIELD_ONCE_DOMAINS[domain_spec], non_finite_rows(model.dim)])
+    dead = ~np.isfinite(x).all(axis=1)
+    own = _loop_generator()
+    with np.errstate(invalid="ignore", over="ignore"):
+        rho = model.domain.rho_boundary(x)
+        for step in range(4):
+            ref_x, ref_alive = step_reference(model, x, step_generator(5, step), dt, True)
+            new_x, alive, rho_new = _step(model, x, step_generator(5, step, own), dt, True, rho)
+            assert np.array_equal(new_x, ref_x, equal_nan=True)
+            assert np.array_equal(alive, ref_alive)
+            assert not alive[dead | ~np.isfinite(new_x).all(axis=1)].any()
+            # dead rows stay as NaN, as split_survival_profile keeps them
+            x = np.where(alive[:, None], new_x, np.nan)
+            rho = np.where(alive, rho_new, np.nan)
+            dead = ~alive
+    assert alive.any() and dead.sum() > non_finite_rows(model.dim).shape[0]
 
 
 def test_step_uniforms_are_multiples_of_2_pow_minus_53():
