@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import FiniteAbsorbedChain, _conditioned_tv, _survival_ratios, qsd_spectral
+from .domains import DomainError
 from .measures import (
     CEMETERY,
     BinGrid,
@@ -23,11 +24,12 @@ from .measures import (
     tv_distance,
 )
 from .models import DiffusionModel
-from .particles import conditioned_law_series, domain_grid
+from .particles import _conditioned_laws, domain_grid
 from .report import VerificationReport
 from .rng import stream_generator, substream
 from .simulate import (
     ZeroSurvivorError,
+    _snapshots,
     hitting_before,
     split_survival_profile,
     survival_snapshots,
@@ -126,10 +128,13 @@ def estimate_A1(
     bin-wise minimum m, and returns c1 = sum(m) with nu = m / c1.
     """
     grid = domain_grid(model, bins)
+    pts = np.atleast_2d(points)
+    seeds = [substream(seed, 20, k) for k in range(len(pts))]
     hists = []
-    for k, x in enumerate(np.atleast_2d(points)):
-        h, _ = _conditioned_hist(model, x, t0, n, grid, substream(seed, 20, k), dt=dt)
-        hists.append(h)
+    for x, (h, _) in zip(pts, _conditioned_laws(model, pts, [t0], n, grid, seeds, dt=dt)):
+        if h[0] is None:
+            raise NoMinorizationError(f"no survivors from {x} at t={t0}")
+        hists.append(h[0])
     laws = np.stack([h.weights for h in hists])
     c1, m = minorize_laws(laws)
     if c1 <= 0:
@@ -137,13 +142,6 @@ def estimate_A1(
             "empty intersection of conditioned laws: coarsen bins or increase t0"
         )
     return A1Estimate(c1=c1, nu=Measure(grid, m / c1), per_point=tuple(hists))
-
-
-def _conditioned_hist(model, x, t, n, grid, seed, *, dt):
-    hists, survs = conditioned_law_series(model, x, [t], n, grid, seed, dt=dt)
-    if hists[0] is None:
-        raise NoMinorizationError(f"no survivors from {x} at t={t}")
-    return hists[0], float(survs[0])
 
 
 def _grid_space(model: DiffusionModel, pts: np.ndarray) -> FiniteStateSpace:
@@ -160,7 +158,7 @@ def _grid_survival(model, pts, times, n, seed, ids, *, dt, window=0.0):
 
     `window` > 0 runs the windowed-splitting estimator on `seed` (common
     random numbers across points); otherwise point k runs its own batch of
-    n paths on `substream(seed, *ids, k)`.
+    n paths on `substream(seed, *ids, k)`, the batches stepped together.
     """
     if window > 0:
         logp, logse = split_survival_profile(model, pts, times, n, seed, dt=dt, window=window)
@@ -169,13 +167,9 @@ def _grid_survival(model, pts, times, n, seed, ids, *, dt, window=0.0):
         se = np.full_like(p, np.inf)
         np.multiply(p, logse.T, out=se, where=np.isfinite(logp.T))
         return p, se
-    p = np.zeros((len(pts), len(times)))
-    se = np.zeros_like(p)
-    for k, x in enumerate(pts):
-        r = survival_snapshots(model, np.tile(x, (n, 1)), times, dt, substream(seed, *ids, k))
-        p[k] = r.survival()
-        se[k] = r.standard_errors()
-    return p, se
+    clouds = [np.tile(x, (n, 1)) for x in pts]
+    res = _snapshots(model, clouds, times, dt, [substream(seed, *ids, k) for k in range(len(pts))])
+    return np.array([r.survival() for r in res]), np.array([r.standard_errors() for r in res])
 
 
 def estimate_A1_chain(chain: FiniteAbsorbedChain, t0: int) -> tuple[float, Measure]:
@@ -221,6 +215,8 @@ def estimate_A2(
     upper CI of the denominator.
     """
     times = np.asarray(sorted(float(t) for t in times))
+    if not model.domain.contains(np.atleast_2d(points)).all():
+        raise DomainError("some probe points are not in the open domain")
     g = stream_generator(seed, purpose=9)
     cloud = _sample_from_histogram(nu, n, g)
     inside = model.domain.contains(cloud)
@@ -393,13 +389,12 @@ def decay_report_model(
     rep = VerificationReport(title="decay report (diffusion)")
     c1c2 = cert.c1 * cert.c2
     rep.add_info("gamma-hat", cert.gamma_hat)
+    pairs = list(pairs)
+    starts = [z for pair in pairs for z in pair]
+    seeds = [substream(seed, 50 + j, ip) for ip in range(len(pairs)) for j in (0, 1)]
+    laws = _conditioned_laws(model, starts, times, n, grid, seeds, dt=dt)
     for ip, (x, y) in enumerate(pairs):
-        hx, sx = conditioned_law_series(
-            model, x, times, n, grid, substream(seed, 50, ip), dt=dt
-        )
-        hy, sy = conditioned_law_series(
-            model, y, times, n, grid, substream(seed, 51, ip), dt=dt
-        )
+        (hx, sx), (hy, sy) = laws[2 * ip : 2 * ip + 2]
         tvs = np.full(times.size, np.nan)
         tv_se = np.full(times.size, np.nan)
         for k in range(times.size):

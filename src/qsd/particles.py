@@ -10,7 +10,8 @@ from .domains import DomainError
 from .measures import BinGrid, Measure, histogram_from_samples
 from .models import DiffusionModel
 from .rng import _loop_generator, step_generator, stream_generator
-from .simulate import ZeroSurvivorError, _start_cloud, _step, survival_snapshots
+from .simulate import ZeroSurvivorError, _snapshots, _start_cloud, _step, _variates
+from .simulate import survival_snapshots  # noqa: F401  (importable from here, as before)
 
 
 class ExtinctionError(RuntimeError):
@@ -95,19 +96,21 @@ def conditioned_law_series(
     Results follow the ascending-sorted time grid; entries are None at
     times where no path survived.
     """
-    starts = _start_cloud(model, x, n)
+    return _conditioned_laws(model, [x], times, n, bins, [seed], dt=dt, bridge=bridge)[0]
+
+
+def _conditioned_laws(model, xs, times, n, bins, seeds, *, dt, bridge=True):
+    """`conditioned_law_series` from every start xs[k] on seeds[k], one
+    (histograms, survival) pair per start, with the batches stepped
+    together (`simulate._snapshots`); every start is checked first."""
+    clouds = [_start_cloud(model, x, n) for x in xs]
     grid = domain_grid(model, bins)
-    res = survival_snapshots(
-        model, starts, times, dt, seed, bridge=bridge, keep_positions=times
-    )
-    hists: list[Measure | None] = []
-    for t in res.times:
-        pts = res.positions.get(float(t))
-        if pts is None or pts.shape[0] == 0:
-            hists.append(None)
-        else:
-            hists.append(histogram_from_samples(grid, pts))
-    return hists, res.survival()
+
+    def law(pts) -> Measure | None:
+        return None if pts is None or pts.shape[0] == 0 else histogram_from_samples(grid, pts)
+
+    res = _snapshots(model, clouds, times, dt, seeds, bridge=bridge, keep_positions=times)
+    return [([law(r.positions.get(float(t))) for t in r.times], r.survival()) for r in res]
 
 
 @dataclass(frozen=True)
@@ -173,7 +176,7 @@ def fleming_viot_run(
     rho, own = model.domain.rho_boundary(pos), _loop_generator()
     for step in range(n_steps):
         g = step_generator(seed, step, own)  # also draws the rebirth donors
-        pos, alive, rho = _step(model, pos, g, dt, bridge, rho)
+        pos, alive, rho = _step(model, pos, _variates(model.dim, [(g, n)]), dt, bridge, rho)
         dead = np.flatnonzero(~alive)
         if dead.size:
             alive_idx = np.flatnonzero(alive)

@@ -12,9 +12,12 @@ ROADMAP.md.
 Probe-level seeds are derived from the master seed with `substream`, so
 independent probes never share a stream.
 
-A stepping loop owns one generator, held by no other code, and re-keys it
-for each step to the state of a fresh `Philox(key=(seed, step))`: that
-skips the OS-entropy seeding a new Philox does before its key overwrites it.
+A stepping loop owns one generator per batch, held by no other code, and
+re-keys it for each step to the state of a fresh `Philox(key=(seed, step))`:
+that skips the OS-entropy seeding a new Philox does before its key
+overwrites it.  Batches stepped together in one array each draw from their
+own (seed, step) block in their own slot order, so stacking changes no
+variate.
 """
 
 from __future__ import annotations

@@ -5,6 +5,8 @@ rate a; its scale function f(x) = (e^{2ax} - 1)/(2a) turns it into a
 martingale N with dN = (1 + 2 a N) dW and speed density (1 + 2av)^{-2}.
 All Green-formula integrals are evaluated in closed form; Monte-Carlo
 routines exist only to confront the closed forms and the escape bounds.
+The u's of an escape check are stepped together, each drawing from its own
+(seed, step) block in its own slot order, so stacking changes no variate.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 
 from .report import VerificationReport
 from .rng import _loop_generator, step_generator
+from .simulate import _alive_rows, _stacks, _variates
 
 _A_TINY = 1e-12
 
@@ -138,34 +141,40 @@ def natural_scale_exit_mc(
     """
     if not 0 < u < hi:
         raise ValueError("need 0 < u < hi")
-    pos = np.full(n, float(u))
-    state = np.zeros(n, dtype=np.int8)
-    exit_time = np.full(n, np.inf)
-    idx = np.arange(n)
-    n_steps = int(np.ceil(horizon / dt - 1e-9))
-    sqdt, own = np.sqrt(dt), _loop_generator()
-    for step in range(n_steps):
-        if idx.size == 0:
-            break
-        g = step_generator(seed, step, own)
-        z = g.standard_normal(idx.size)
-        un = g.random(idx.size)
-        sig = 1.0 + 2.0 * a * pos[idx]
-        new = pos[idx] + sig * sqdt * z
-        var = sig * sig * dt
-        p_hi = np.exp(-2.0 * np.maximum(hi - pos[idx], 0) * np.maximum(hi - new, 0) / var)
-        p_lo = np.exp(-2.0 * np.maximum(pos[idx], 0) * np.maximum(new, 0) / var)
-        hit_hi = (new >= hi) | (un < p_hi)
-        hit_lo = (new <= 0) | (~hit_hi & (un >= p_hi) & (un < p_hi + p_lo))
-        t_now = (step + 1) * dt
-        state[idx[hit_hi]] = 1
-        state[idx[hit_lo]] = 2
-        exit_time[idx[hit_hi | hit_lo]] = t_now
-        keep = ~(hit_hi | hit_lo)
-        pos[idx[keep]] = new[keep]
-        idx = idx[keep]
-    state[idx] = 3
-    return state, exit_time
+    return _exit_mc(a, [u], hi, horizon, n, [seed], dt=dt)[0]
+
+
+def _exit_mc(a, us, hi, horizon, n, seeds, *, dt):
+    """(state, exit_time) of `natural_scale_exit_mc` from every start us[k]
+    on seeds[k]; the stacks of `simulate._stacks` share one array of live
+    paths, compacted after every step with each start's paths kept in order."""
+    n_steps, sqdt, out = int(np.ceil(horizon / dt - 1e-9)), np.sqrt(dt), []
+    for run in _stacks([n] * len(us)):
+        pos = np.repeat([float(us[k]) for k in run], n)
+        path = np.arange(pos.size)  # row of each live path in state and exit_time
+        state, exit_time = np.zeros(pos.size, dtype=np.int8), np.full(pos.size, np.inf)
+        rows, own = [n] * len(run), [_loop_generator() for _ in run]
+        for step in range(n_steps):
+            if pos.size == 0:
+                break
+            draws = [(step_generator(seeds[run[b]], step, own[b]), k) for b, k in enumerate(rows) if k]
+            z, un = _variates(1, draws)
+            sig = 1.0 + 2.0 * a * pos
+            new = pos + sig * sqdt * z[:, 0]
+            var = sig * sig * dt
+            p_hi = np.exp(-2.0 * np.maximum(hi - pos, 0) * np.maximum(hi - new, 0) / var)
+            p_lo = np.exp(-2.0 * np.maximum(pos, 0) * np.maximum(new, 0) / var)
+            hit_hi = (new >= hi) | (un < p_hi)
+            hit_lo = (new <= 0) | (~hit_hi & (un >= p_hi) & (un < p_hi + p_lo))
+            state[path[hit_hi]] = 1
+            state[path[hit_lo]] = 2
+            keep = ~(hit_hi | hit_lo)
+            exit_time[path[~keep]] = (step + 1) * dt
+            pos, path = new[keep], path[keep]
+            rows = _alive_rows(keep, rows, pos.size)
+        state[path] = 3
+        out += [(state[b * n : (b + 1) * n], exit_time[b * n : (b + 1) * n]) for b in range(len(run))]
+    return out
 
 
 def escape_bounds_check(
@@ -182,17 +191,17 @@ def escape_bounds_check(
 
     For each u in (0, eps1/2): P_u(T_{eps1/2} <= s1 ^ T_0) >= u/eps1, and
     P_u(s1 <= T_0 ^ T_{eps1/2}) <= u C_eps1 / s1, each within z_ci SEs.
+    Every u is checked before any is simulated.
     """
     c_eps, s1 = green_constants(a, eps1)
+    u_grid = list(u_grid)
+    if bad := [u for u in u_grid if not 0 < u < eps1 / 2]:
+        raise ValueError(f"u={bad[0]} outside (0, eps1/2)")
     rep = VerificationReport(title=f"escape bounds (a={a}, eps1={eps1})")
     rep.add_info("c-eps1", c_eps)
     rep.add_info("s1", s1)
-    for k, u in enumerate(u_grid):
-        if not 0 < u < eps1 / 2:
-            raise ValueError(f"u={u} outside (0, eps1/2)")
-        state, _ = natural_scale_exit_mc(
-            a, u, eps1 / 2.0, s1, n, seed + 7919 * k, dt=dt
-        )
+    seeds = [seed + 7919 * k for k in range(len(u_grid))]
+    for u, (state, _) in zip(u_grid, _exit_mc(a, u_grid, eps1 / 2.0, s1, n, seeds, dt=dt)):
         p_escape = float((state == 1).mean())
         p_tail = float((state == 3).mean())
         se_e = float(np.sqrt(p_escape * (1 - p_escape) / n))

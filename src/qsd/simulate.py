@@ -10,14 +10,16 @@ alone is biased low (paths can cross and return between samples); the
 correction is switchable for bias studies.
 
 The estimators here and in `particles` advance their paths through one
-kernel, `_step`, which draws the step's noise from a per-(seed, step)
-Philox block (see `rng`; each loop re-keys one generator of its own) in
-slot order: slot j serves row j of the paths passed in.  Most of them
-compact absorbed paths away, so a path's slot is its rank among the paths
-still alive at that step.  Its variate is then a function of (seed, step,
-alive slot), not of its original index: it depends on which paths died
-earlier, and splitting a batch changes the realisations.  Keying the noise
-by path id is item 1 of ROADMAP.md.
+kernel, `_step`, whose noise `_variates` draws from a per-(seed, step)
+Philox block (see `rng`) in slot order: slot j serves row j of the paths
+passed in.  Most of them compact absorbed paths away, so a path's slot is
+its rank among the paths still alive at that step.  Its variate is then a
+function of (seed, step, alive slot), not of its original index: it
+depends on which paths died earlier, and splitting a batch changes the
+realisations.  Keying the noise by path id is item 1 of ROADMAP.md.
+Independent batches of one call, one start on one seed each, are stepped
+together (`_snapshots`); each draws from its own block in its own slot
+order, so stacking changes no variate.
 """
 
 from __future__ import annotations
@@ -87,20 +89,52 @@ class AbsorbedPath:
 # would not do: there the computed exp already exceeds 2**-53 by 3 ulps.
 _BAND = 19.0
 
+_STACK = 8192  # most start coordinates (rows x d) in one stack: arrays <= 64 KiB
 
-def _step(model, x, g, dt, bridge, rho):
+
+def _stacks(sizes) -> list[list[int]]:
+    """Runs of consecutive batches whose sizes (rows x d) total at most
+    _STACK; a bigger batch runs alone."""
+    runs, total = [], math.inf
+    for i, size in enumerate(sizes):
+        runs, total = (runs, total + size) if total + size <= _STACK else (runs + [[]], size)
+        runs[-1].append(i)
+    return runs
+
+
+def _variates(dim, draws):
+    """Step noise (z, u) of a stack: each (g, k) of `draws`, one batch in
+    order, draws k normal dim-vectors, then k uniforms, from its own g."""
+    if len(draws) == 1:
+        [(g, k)] = draws
+        return g.standard_normal((k, dim)), g.random(k)
+    z = [g.standard_normal((k, dim)) for g, k in draws]
+    return np.concatenate(z), np.concatenate([g.random(k) for g, k in draws])
+
+
+def _alive_rows(alive, rows, total):
+    """Alive paths per batch from slices of the alive mask (batch b held
+    rows[b] slots); the last batch has the rest of the `total` alive."""
+    out, lo = [], 0
+    for k in rows[:-1]:
+        out.append(int(np.count_nonzero(alive[lo : lo + k])))
+        lo += k
+    return out + [total - sum(out)]
+
+
+def _step(model, x, noise, dt, bridge, rho):
     """One Euler step with absorption for the paths in `x`:
     (x_new, alive, rho_new).
 
     `x` has shape (..., k, d); `rho`, of shape x.shape[:-1], is
-    rho_boundary(x), carried by every caller from the step before.  The step
-    draws k normal d-vectors (d = model.dim), then k uniforms, from `g`;
-    slot j serves row j of the last-but-one axis, and every leading axis
-    shares the same k slots (common random numbers).  A path is alive when
-    x_new lies in the open domain {rho > 0} and, with `bridge`, the
-    Brownian-bridge crossing test u < p, p = exp(-2 rho(x) rho(x_new) /
-    (sigma_n^2 dt)), does not fire; sigma_n^2 = |s(x)^T nu|^2 is
-    `model.normal_sigma2(x)`, nu the unit normal of the nearest boundary
+    rho_boundary(x), carried by every caller from the step before.  `noise`
+    is (z, u), k normal d-vectors (d = model.dim) and k uniforms, as
+    `_variates` draws them; slot j serves row j of the last-but-one axis,
+    and every leading axis shares the same k slots (common random numbers).
+    A path is alive when x_new lies in the open domain {rho > 0} and, with
+    `bridge`, the Brownian-bridge crossing test u < p, p = exp(-2 rho(x)
+    rho(x_new) / (sigma_n^2 dt)), does not fire; sigma_n^2 = |s(x)^T nu|^2
+    is `model.normal_sigma2(x)`, nu the unit normal of the nearest boundary
     face; the field s(x) is evaluated once and feeds s(x) z and sigma_n^2.
     `alive` and `rho_new` = rho_boundary(x_new) have shape x.shape[:-1];
     non-finite rows of x_new are never alive.
@@ -112,8 +146,7 @@ def _step(model, x, g, dt, bridge, rho):
     mask is bit for bit the one of evaluating p on every path.
     """
     shape = x.shape
-    z = g.standard_normal((shape[-2], model.dim))
-    u = g.random(shape[-2])
+    z, u = noise
     lead = math.prod(shape[:-2])
     if lead > 1:
         z, u = np.tile(z, (lead, 1)), np.tile(u, lead)
@@ -162,7 +195,8 @@ def simulate_path(
     absorption_time = np.inf
     rho, g = model.domain.rho_boundary(x), _loop_generator()
     for step in range(config.n_steps):
-        x_new, alive, rho_new = _step(model, x, step_generator(config.seed, step, g), dt, bridge, rho)
+        draw = [(step_generator(config.seed, step, g), 1)]
+        x_new, alive, rho_new = _step(model, x, _variates(model.dim, draw), dt, bridge, rho)
         if not np.isfinite(x_new).all():
             raise NumericalBlowupError(step)
         t = (step + 1) * dt
@@ -203,6 +237,44 @@ def _snap_steps(times, dt) -> list[int]:
     return [int(np.ceil(t / dt - 1e-9)) for t in times]
 
 
+def _snapshots(model, clouds, times, dt, seeds, *, bridge=True, keep_positions=()):
+    """`survival_snapshots` of every cloud k on seeds[k], in order: the
+    stacks of `_stacks` take one `_step` per step, compaction keeps each
+    batch's rows in order.  Every cloud is checked before any step."""
+    clouds = [c[:, None] if c.ndim == 1 else c for c in (np.asarray(c, dtype=float) for c in clouds)]
+    if not all(model.domain.contains(c).all() for c in clouds):
+        raise DomainError("some start positions are not in the open domain")
+    times = sorted(float(t) for t in times)
+    snap = _snap_steps(times, dt)
+    keep = {int(np.ceil(t / dt - 1e-9)) for t in keep_positions}
+    n_steps, out = max(snap) if snap else 0, []
+    for run in _stacks([c.size for c in clouds]):
+        rows = [clouds[k].shape[0] for k in run]  # alive paths of each batch
+        x = clouds[run[0]] if len(run) == 1 else np.concatenate([clouds[k] for k in run])
+        counts = np.zeros((len(run), len(times)), dtype=np.int64)  # 0 after every path died
+        positions: list[dict[float, np.ndarray]] = [{} for _ in run]
+        rho, own, ti = model.domain.rho_boundary(x), [_loop_generator() for _ in run], 0
+        live = list(range(len(run)))  # the batches whose separate runs reach this step
+        for step in range(n_steps + 1):
+            while ti < len(times) and snap[ti] == step:
+                counts[:, ti] = rows
+                if step in keep:
+                    ends = np.cumsum(rows)
+                    for b in live:
+                        positions[b][times[ti]] = x[ends[b] - rows[b] : ends[b]].copy()
+                ti += 1
+            live = [b for b in live if rows[b]]
+            if step == n_steps or not live:
+                break
+            draws = [(step_generator(seeds[run[b]], step, own[b]), rows[b]) for b in live]
+            x_new, alive, rho_new = _step(model, x, _variates(model.dim, draws), dt, bridge, rho)
+            x, rho = x_new[alive], rho_new[alive]
+            rows = _alive_rows(alive, rows, x.shape[0])
+        for k, c, p in zip(run, counts, positions):
+            out.append(SnapshotResult(np.array(times), c, len(clouds[k]), p))
+    return out
+
+
 def survival_snapshots(
     model: DiffusionModel,
     starts: np.ndarray,
@@ -219,33 +291,8 @@ def survival_snapshots(
     paths are compacted away.  Positions of the alive set are kept for the
     times listed in `keep_positions`.
     """
-    times = sorted(float(t) for t in times)
-    x = np.asarray(starts, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    n = x.shape[0]
-    if not model.domain.contains(x).all():
-        raise DomainError("some start positions are not in the open domain")
-    snap = _snap_steps(times, dt)
-    keep = {int(np.ceil(t / dt - 1e-9)) for t in keep_positions}
-    counts = np.zeros(len(times), dtype=np.int64)  # 0 after every path died
-    positions: dict[float, np.ndarray] = {}
-    ti = 0
-    n_steps = max(snap) if snap else 0
-    rho, g = model.domain.rho_boundary(x), _loop_generator()
-    for step in range(n_steps + 1):
-        while ti < len(times) and snap[ti] == step:
-            counts[ti] = x.shape[0]
-            if step in keep:
-                positions[times[ti]] = x.copy()
-            ti += 1
-        if step == n_steps or x.shape[0] == 0:
-            break
-        x_new, alive, rho_new = _step(model, x, step_generator(seed, step, g), dt, bridge, rho)
-        x, rho = x_new[alive], rho_new[alive]
-    return SnapshotResult(
-        times=np.array(times), counts=counts, n=n, positions=positions
-    )
+    [res] = _snapshots(model, [starts], times, dt, [seed], bridge=bridge, keep_positions=keep_positions)
+    return res
 
 
 def survival_probability(
@@ -286,7 +333,8 @@ def hitting_before(
     for step in range(n_steps):
         if pos.shape[0] == 0:
             break
-        new, alive, rho_new = _step(model, pos, step_generator(seed, step, g), dt, bridge, rho)
+        draw = [(step_generator(seed, step, g), len(pos))]
+        new, alive, rho_new = _step(model, pos, _variates(model.dim, draw), dt, bridge, rho)
         pos, hit, rho = new[alive], hit[alive], rho_new[alive]
         hit |= target.contains(pos)
     p = float(hit.sum()) / n
@@ -314,7 +362,8 @@ def tube_probability(
     for step in range(k2):
         if pos.shape[0] == 0:
             break
-        new, alive, rho_new = _step(model, pos, step_generator(seed, step, g), dt, bridge, rho)
+        draw = [(step_generator(seed, step, g), len(pos))]
+        new, alive, rho_new = _step(model, pos, _variates(model.dim, draw), dt, bridge, rho)
         pos, rho = new[alive], rho_new[alive]
         if step + 1 >= k1:
             inside = np.linalg.norm(pos - center, axis=1) <= radius
@@ -363,7 +412,8 @@ def split_survival_profile(
     n_steps = max(snap)
     ti, g = 0, _loop_generator()
     for step in range(n_steps):
-        x_new, alive, rho_new = _step(model, pos, step_generator(seed, step, g), dt, bridge, rho)
+        draw = [(step_generator(seed, step, g), n)]
+        x_new, alive, rho_new = _step(model, pos, _variates(model.dim, draw), dt, bridge, rho)
         pos = np.where(alive[..., None], x_new, np.nan)
         rho = np.where(alive, rho_new, np.nan)
         if (step + 1) % w_steps == 0 and step + 1 < n_steps:

@@ -232,6 +232,39 @@ def natural_scale_exit_time_mc(a: float, u: float, L: float, n: int, dt: float, 
     return float(t_exit.mean()), float(t_exit.std(ddof=1) / np.sqrt(n))
 
 
+def exit_mc_reference(a: float, u: float, hi: float, horizon: float, n: int, seed: int, *, dt: float):
+    """The natural-scale exit loop of `scale1d.natural_scale_exit_mc` as one
+    start on its own: the full-length cloud stays behind an index of live
+    paths, and every step gathers their positions.  Returns (state,
+    exit_time): 1 = hit hi first, 2 = hit 0 first, 3 = inside at the horizon."""
+    pos = np.full(n, float(u))
+    state = np.zeros(n, dtype=np.int8)
+    exit_time = np.full(n, np.inf)
+    idx = np.arange(n)
+    sqdt = np.sqrt(dt)
+    for step in range(int(np.ceil(horizon / dt - 1e-9))):
+        if idx.size == 0:
+            break
+        g = step_generator(seed, step)
+        z = g.standard_normal(idx.size)
+        un = g.random(idx.size)
+        sig = 1.0 + 2.0 * a * pos[idx]
+        new = pos[idx] + sig * sqdt * z
+        var = sig * sig * dt
+        p_hi = np.exp(-2.0 * np.maximum(hi - pos[idx], 0) * np.maximum(hi - new, 0) / var)
+        p_lo = np.exp(-2.0 * np.maximum(pos[idx], 0) * np.maximum(new, 0) / var)
+        hit_hi = (new >= hi) | (un < p_hi)
+        hit_lo = (new <= 0) | (~hit_hi & (un >= p_hi) & (un < p_hi + p_lo))
+        state[idx[hit_hi]] = 1
+        state[idx[hit_lo]] = 2
+        exit_time[idx[hit_hi | hit_lo]] = (step + 1) * dt
+        keep = ~(hit_hi | hit_lo)
+        pos[idx[keep]] = new[keep]
+        idx = idx[keep]
+    state[idx] = 3
+    return state, exit_time
+
+
 # --- boundary geometry, one encoding per domain -----------------------------------
 
 

@@ -16,6 +16,7 @@ from qsd.simulate import (
     _BAND,
     PathConfig,
     _step,
+    _variates,
     hitting_before,
     simulate_path,
     split_survival_profile,
@@ -139,8 +140,8 @@ def test_square_matrix_field_steps_like_the_constant_field():
     matrix = DiffusionModel(box, ZeroDrift(), eye, 0.64, 0.64, 0.0)
     x = box.uniform(np.random.default_rng(4), 500)
     assert np.array_equal(matrix.normal_sigma2(x), const.normal_sigma2(x))
-    a = _step(const, x, step_generator(3, 0), 0.01, True, box.rho_boundary(x))
-    b = _step(matrix, x, step_generator(3, 0), 0.01, True, box.rho_boundary(x))
+    a = _step(const, x, _variates(2, [(step_generator(3, 0), 500)]), 0.01, True, box.rho_boundary(x))
+    b = _step(matrix, x, _variates(2, [(step_generator(3, 0), 500)]), 0.01, True, box.rho_boundary(x))
     for u, v in zip(a, b):
         assert np.array_equal(u, v)
     # on a disc the normal is no longer an axis: s = 0.8 R, R a rotation
@@ -432,11 +433,11 @@ def test_step_stack_equals_separate_calls(specs, bridge):
     xs = model.domain.uniform(np.random.default_rng(5), 3 * 40).reshape(3, 40, model.dim)
     xs[1, 7] = np.nan  # a dead row, as split_survival_profile keeps them
     rho = model.domain.rho_boundary(xs.reshape(-1, model.dim)).reshape(3, 40)
-    x_new, alive, _ = _step(model, xs, step_generator(9, 4), 0.01, bridge, rho)
+    x_new, alive, _ = _step(model, xs, _variates(model.dim, [(step_generator(9, 4), 40)]), 0.01, bridge, rho)
     assert alive.shape == (3, 40)
     assert alive.any() and not alive.all()
     for i in range(3):
-        xi, ai, _ = _step(model, xs[i], step_generator(9, 4), 0.01, bridge, rho[i])
+        xi, ai, _ = _step(model, xs[i], _variates(model.dim, [(step_generator(9, 4), 40)]), 0.01, bridge, rho[i])
         assert np.array_equal(x_new[i], xi, equal_nan=True)
         assert np.array_equal(alive[i], ai)
 
@@ -457,7 +458,7 @@ def test_step_stack_equals_separate_calls(specs, bridge):
 )
 def test_step_alive_is_open_domain_membership(domain, points):
     x = np.array(points)
-    x_new, alive, _ = _step(frozen_model(domain), x, step_generator(1, 0), 0.01, False, domain.rho_boundary(x))
+    x_new, alive, _ = _step(frozen_model(domain), x, _variates(domain.dim, [(step_generator(1, 0), len(x))]), 0.01, False, domain.rho_boundary(x))
     assert np.array_equal(x_new, x, equal_nan=True)  # boundary points stay on the boundary
     assert np.array_equal(alive, domain.contains(x_new))
     assert alive.any() and not alive.all()
@@ -477,11 +478,13 @@ def test_step_equals_reference_near_the_boundary(specs, bridge):
     for step in range(5):
         ref_x, ref_alive = step_reference(model, x, step_generator(7, step), dt, bridge)
         rho = model.domain.rho_boundary(x)
-        new_x, alive, rho_new = _step(model, x, step_generator(7, step), dt, bridge, rho)
+        new_x, alive, rho_new = _step(model, x, _variates(model.dim, [(step_generator(7, step), len(x))]), dt, bridge, rho)
         assert np.array_equal(new_x, ref_x)
         assert np.array_equal(alive, ref_alive)
         assert np.array_equal(rho_new, model.domain.rho_boundary(new_x))
-        _, alive_no_rho, _ = _step(model, x, step_generator(7, step), dt, bridge, model.domain.rho_boundary(x))
+        _, alive_no_rho, _ = _step(
+            model, x, _variates(model.dim, [(step_generator(7, step), len(x))]), dt, bridge, model.domain.rho_boundary(x)
+        )
         assert np.array_equal(alive_no_rho, ref_alive)
         bridge_kills += int((model.domain.contains(new_x) & ~alive).sum())
         x = new_x[alive]
@@ -504,7 +507,7 @@ def test_field_once_step_equals_reference(domain_spec, kind):
         rho = model.domain.rho_boundary(x)
         for step in range(4):
             ref_x, ref_alive = step_reference(model, x, step_generator(5, step), dt, True)
-            new_x, alive, rho_new = _step(model, x, step_generator(5, step, own), dt, True, rho)
+            new_x, alive, rho_new = _step(model, x, _variates(model.dim, [(step_generator(5, step, own), len(x))]), dt, True, rho)
             assert np.array_equal(new_x, ref_x, equal_nan=True)
             assert np.array_equal(alive, ref_alive)
             assert not alive[dead | ~np.isfinite(new_x).all(axis=1)].any()
@@ -544,7 +547,7 @@ def test_step_fixed_uniform_equals_reference_across_the_band_edge(u):
     q = np.array([1.0, 10.0, 30.0, 36.0, 37.9, 38.1, 50.0, 100.0, 5000.0])
     x = np.sqrt(q * dt / 2)[:, None]
     assert np.array_equal(model.domain.rho_boundary(x) ** 2 >= _BAND * dt, q >= 2 * _BAND)
-    _, alive, _ = _step(model, x, _FixedNoise(u), dt, True, model.domain.rho_boundary(x))
+    _, alive, _ = _step(model, x, _variates(1, [(_FixedNoise(u), len(x))]), dt, True, model.domain.rho_boundary(x))
     _, ref_alive = step_reference(model, x, _FixedNoise(u), dt, True)
     assert np.array_equal(alive, ref_alive)
     if u == 0.0:  # out-of-band paths are still killed wherever p > 0

@@ -1,0 +1,305 @@
+"""Independent seeded batches stepped together equal their separate runs.
+
+A stack shares one array and one `_step` per step, but each batch draws
+from its own (seed, step) block in its own slot order, so every output
+here must equal, bit for bit, the one-batch public function run per start,
+with the same number of generators and variates.
+"""
+
+import collections
+
+import numpy as np
+import pytest
+
+import qsd.particles
+import qsd.rng
+import qsd.scale1d
+import qsd.simulate
+from qsd.certificates import (
+    ConditionACertificate,
+    ProbeGrid,
+    certify_condition_A,
+    decay_report_model,
+    estimate_A1,
+    estimate_A2,
+    ht_profile,
+    minorize_laws,
+)
+from qsd.domains import DomainError
+from qsd.measures import Measure, histogram_from_samples
+from qsd.models import build_model
+from qsd.particles import conditioned_law_series, domain_grid
+from qsd.rng import stream_generator, substream
+from qsd.scale1d import escape_bounds_check, green_constants, natural_scale_exit_mc
+from qsd.simulate import _STACK, _snapshots, _stacks, survival_snapshots
+
+from oracles import exit_mc_reference
+
+# model, a deep start, a start 1e-4 from the boundary
+DOMAINS = {
+    "interval": ("interval 0 3", "zero", "constant 1.0", [1.5], [1e-4]),
+    "box2": ("box 0 0 2 2", "linear -0.5 1 1", "diagonal_holder 0.8 0.3 0.5 1 1", [1, 1], [1e-4, 1]),
+    "disc": ("ball 0 0 1", "linear -0.5 0 0", "diagonal_holder 0.7 0.2 0.5 0 0", [0, 0], [1 - 1e-4, 0]),
+    "box3": ("box 0 0 0 2 2 2", "zero", "diagonal_holder 1.0 0.3 0.5 1 1 1", [1, 1, 1], [1e-4, 1, 1]),
+}
+SIZES = (100, 1003, 4000, 3500, 100)  # the first batch starts at the boundary
+
+
+def model_of(name):
+    return build_model(*DOMAINS[name][:3])
+
+
+class _Counted:
+    """Generator proxy that tallies the variates it hands out."""
+
+    def __init__(self, g, tally):
+        self._g, self._tally = g, tally
+
+    def __getattr__(self, name):
+        method = getattr(self._g, name)
+
+        def draw(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self._tally["variates"] += int(np.size(out))
+            return out
+
+        return draw
+
+
+@pytest.fixture
+def tally(monkeypatch):
+    """Counts of `step_generator` calls and of the variates drawn from them."""
+    counts = collections.Counter()
+    real = qsd.rng.step_generator
+
+    def counted(*args, **kwargs):
+        counts["generators"] += 1
+        return _Counted(real(*args, **kwargs), counts)
+
+    for mod in (qsd.simulate, qsd.particles, qsd.scale1d):
+        monkeypatch.setattr(mod, "step_generator", counted)
+    return counts
+
+
+# --- the stacked snapshot loop ---------------------------------------------------
+
+
+def test_stacks_are_consecutive_runs_within_the_cap():
+    assert _stacks([]) == []
+    assert _stacks([100, 1003, 4000, 3500, 100]) == [[0, 1, 2], [3, 4]]
+    assert _stacks([200, 2006, 8000, 7000, 200]) == [[0, 1], [2], [3, 4]]
+    # a batch above the cap runs alone; one at the cap fills a stack
+    assert _stacks([300, 3009, 12000, 10500, 300]) == [[0, 1], [2], [3], [4]]
+    assert _stacks([_STACK, 1, _STACK - 1, 1]) == [[0], [1, 2], [3]]
+
+
+@pytest.mark.parametrize("bridge", [True, False])
+@pytest.mark.parametrize("name", list(DOMAINS))
+def test_stacked_snapshots_equal_separate_runs(name, bridge, tally):
+    model = model_of(name)
+    deep, edge = DOMAINS[name][3:]
+    clouds = [np.tile(edge if k == 0 else deep, (n, 1)) for k, n in enumerate(SIZES)]
+    seeds = [substream(5, k) for k in range(len(SIZES))]
+    stacks = _stacks([c.size for c in clouds])
+    assert len(stacks) > 1 and max(len(s) for s in stacks) > 1
+    times, keep = [0.05, 0.2, 1.0], [0.2, 1.0]
+    stacked = list(_snapshots(model, clouds, times, 1e-2, seeds, bridge=bridge, keep_positions=keep))
+    drawn = dict(tally)
+    tally.clear()
+    for cloud, seed, res in zip(clouds, seeds, stacked):
+        ref = survival_snapshots(model, cloud, times, 1e-2, seed, bridge=bridge, keep_positions=keep)
+        assert res.n == ref.n
+        assert np.array_equal(res.times, ref.times)
+        assert np.array_equal(res.counts, ref.counts)
+        assert res.positions.keys() == ref.positions.keys()
+        for t in ref.positions:
+            assert np.array_equal(res.positions[t], ref.positions[t])
+    assert drawn == dict(tally)
+    if bridge:  # the boundary batch dies out while the one beside it lives on
+        assert stacked[0].counts[0] == 0 and stacked[1].counts[-1] > 0
+
+
+def test_conditioned_law_series_is_the_one_batch_case():
+    model = model_of("disc")
+    hists, survs = conditioned_law_series(model, [0.2, 0.1], [0.3, 0.1], 500, 4, 9, dt=5e-3)
+    grid = domain_grid(model, 4)
+    res = survival_snapshots(model, np.tile([0.2, 0.1], (500, 1)), [0.3, 0.1], 5e-3, 9, keep_positions=[0.3, 0.1])
+    assert np.array_equal(survs, res.survival())
+    for h, t in zip(hists, res.times):
+        assert np.array_equal(h.weights, histogram_from_samples(grid, res.positions[t]).weights)
+
+
+# --- the exit loop of scale1d ------------------------------------------------------
+
+
+@pytest.mark.parametrize("a,u,n", [(0.0, 0.2, 100), (0.5, 0.05, 1003), (2.0, 0.45, 4000), (0.5, 0.25, 9000)])
+def test_exit_mc_equals_the_reference_loop(a, u, n, tally):
+    state, exit_time = natural_scale_exit_mc(a, u, 0.5, 0.3, n, 19, dt=1e-3)
+    drawn = dict(tally)
+    ref_state, ref_time = exit_mc_reference(a, u, 0.5, 0.3, n, 19, dt=1e-3)
+    assert np.array_equal(state, ref_state)
+    assert np.array_equal(exit_time, ref_time)
+    assert {1, 2} <= set(state.tolist())
+    tally.clear()
+    natural_scale_exit_mc(a, u, 0.5, 0.3, n, 19, dt=1e-3)
+    assert drawn == dict(tally) and drawn["generators"] > 0
+
+
+@pytest.mark.parametrize("n", [1003, 4000])
+def test_escape_check_equals_the_reference_loop(n, tally):
+    a, eps1, seed, u_grid = 0.5, 1.0, 20, [0.125, 0.25, 0.375, 0.1, 0.4]
+    rep = escape_bounds_check(a, eps1, u_grid, n, seed, dt=1e-3)
+    drawn = dict(tally)
+    assert len(_stacks([n] * len(u_grid))) < len(u_grid)  # some u's shared a stack
+    c_eps, s1 = green_constants(a, eps1)
+    escape = [c for c in rep.checks if c.name.startswith("escape")]
+    tail = [c for c in rep.checks if c.name.startswith("tail")]
+    assert len(escape) == len(tail) == len(u_grid)
+    tally.clear()
+    for k, u in enumerate(u_grid):
+        state, _ = exit_mc_reference(a, u, eps1 / 2, s1, n, seed + 7919 * k, dt=1e-3)
+        assert escape[k].measured == float((state == 1).mean())
+        assert tail[k].measured == float((state == 3).mean())
+        assert escape[k].bound == u / eps1 and tail[k].bound == u * c_eps / s1
+        natural_scale_exit_mc(a, u, eps1 / 2, s1, n, seed + 7919 * k, dt=1e-3)
+    assert drawn == dict(tally)
+
+
+# --- certificates against per-point references -------------------------------------
+
+
+def a1_reference(model, pts, t0, bins, n, seed, dt):
+    grid = domain_grid(model, bins)
+    hists = [
+        conditioned_law_series(model, x, [t0], n, grid, substream(seed, 20, k), dt=dt)[0][0]
+        for k, x in enumerate(pts)
+    ]
+    c1, m = minorize_laws(np.stack([h.weights for h in hists]))
+    return c1, m / c1, hists
+
+
+def a2_reference(model, nu, pts, times, n, seed, dt, z_ci=3.0):
+    g = stream_generator(seed, purpose=9)
+    idx = g.choice(nu.support.size, size=n, p=nu.weights / nu.weights.sum())
+    lo, hi = nu.support.bounds()
+    cloud = lo[idx] + g.random((n, nu.support.dim)) * (hi[idx] - lo[idx])
+    cloud = cloud[model.domain.contains(cloud)]
+    res_nu = survival_snapshots(model, cloud, times, dt, substream(seed, 30))
+    grid = [survival_snapshots(model, np.tile(x, (n, 1)), times, dt, substream(seed, 31, k)) for k, x in enumerate(pts)]
+    p_z = np.array([r.survival() for r in grid])
+    se_z = np.array([r.standard_errors() for r in grid])
+    worst, kmax = p_z.max(axis=0), p_z.argmax(axis=0)
+    worst_hi = np.minimum(worst + z_ci * se_z[kmax, np.arange(len(times))], 1.0)
+    p_nu, se_nu = res_nu.survival(), res_nu.standard_errors()
+    c2 = float((p_nu / worst).min())
+    return c2, float((np.maximum(p_nu - z_ci * se_nu, 0.0) / worst_hi).min()), worst
+
+
+BOX2_POINTS = np.array([[1.0, 1.0], [0.1, 1.0], [1.0, 1.9], [0.6, 0.4], [1.5, 1.5], [0.3, 1.7]])
+
+
+def test_estimate_A1_and_A2_equal_per_point_references():
+    model, pts = model_of("box2"), BOX2_POINTS
+    a1 = estimate_A1(model, pts, 0.4, 3, 1000, 7, dt=5e-3)
+    c1, nu, hists = a1_reference(model, pts, 0.4, 3, 1000, 7, 5e-3)
+    assert a1.c1 == c1 and np.array_equal(a1.nu.weights, nu)
+    for h, r in zip(a1.per_point, hists):
+        assert np.array_equal(h.weights, r.weights)
+    times = [0.1, 0.2, 0.4]
+    a2 = estimate_A2(model, a1.nu, pts, times, 1000, 8, dt=5e-3)
+    c2, c2_cons, worst = a2_reference(model, a1.nu, pts, times, 1000, 8, 5e-3)
+    assert (a2.c2, a2.c2_conservative) == (c2, c2_cons)
+    assert np.array_equal(a2.worst_point_survival, worst)
+
+
+def test_certify_condition_A_equals_per_point_references():
+    model, pts = model_of("box2"), BOX2_POINTS
+    grid = ProbeGrid(points=pts, times=[0.1, 0.2, 0.4], budget=1000)
+    cert = certify_condition_A(model, grid, [0.2, 0.4], 3, 5, dt=5e-3)
+    best = None
+    for j, t0 in enumerate([0.2, 0.4]):
+        c1, nu, _ = a1_reference(model, pts, t0, 3, 1000, substream(5, 40, j), 5e-3)
+        nu = Measure(domain_grid(model, 3), nu)
+        _, c2, _ = a2_reference(model, nu, pts, grid.times, 1000, substream(5, 41, j), 5e-3)
+        c2 = min(max(c2, 0.0), 1.0)
+        gamma = -np.log(1.0 - min(c1, 1.0) * c2) / t0
+        if c2 > 0 and (best is None or gamma > best[0]):
+            best = (gamma, t0, min(c1, 1.0), c2, nu.weights)
+    assert best is not None
+    assert (cert.gamma_hat, cert.t0, cert.c1, cert.c2) == best[:4]
+    assert np.array_equal(cert.nu.weights, best[4])
+
+
+def test_decay_report_model_equals_per_point_references(monkeypatch):
+    model = model_of("disc")
+    pairs = [(np.array([-0.5, 0.0]), np.array([0.5, 0.0])), (np.array([0.0, 0.9]), np.array([0.1, 0.1]))]
+    times, n, seed = [0.1, 0.2, 0.3, 0.4], 1500, 109
+    grid = domain_grid(model, 4)
+    cert = ConditionACertificate(t0=1.0, c1=0.05, nu=Measure(grid, np.full(grid.size, 1 / grid.size)), c2=0.05)
+    seen = []
+    real = qsd.certificates._conditioned_laws
+    monkeypatch.setattr(qsd.certificates, "_conditioned_laws", lambda *a, **k: seen.append(real(*a, **k)) or seen[-1])
+    rep = decay_report_model(model, cert, pairs, times, n, 4, seed, dt=2e-3)
+    [laws] = seen
+    assert len(laws) == 2 * len(pairs)
+    for ip, (x, y) in enumerate(pairs):
+        for law, start, j in ((laws[2 * ip], x, 50), (laws[2 * ip + 1], y, 51)):
+            hists, survs = conditioned_law_series(model, start, times, n, grid, substream(seed, j, ip), dt=2e-3)
+            assert np.array_equal(law[1], survs)
+            for h, r in zip(law[0], hists):
+                assert (h is None) == (r is None)
+                assert h is None or np.array_equal(h.weights, r.weights)
+    assert any(c.name.startswith("pair-contraction-margin[pair1]") for c in rep.checks)
+
+
+def test_ht_profile_equals_per_point_references():
+    model, pts = model_of("box2"), BOX2_POINTS
+    prof = ht_profile(model, 0.3, pts, 1000, 12, dt=5e-3)
+    surv = np.array([
+        survival_snapshots(model, np.tile(x, (1000, 1)), [0.3], 5e-3, substream(12, 80, k)).survival()[0]
+        for k, x in enumerate(pts)
+    ])
+    assert np.array_equal(prof.h, surv / surv.max())
+    assert prof.z_index == int(np.argmax(surv))
+
+
+# --- every start is checked before any batch takes a step ---------------------------
+
+
+def _with_bad_last(pts, bad):
+    return np.vstack([pts, [bad]])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m, pts: estimate_A1(m, pts, 0.2, 3, 200, 1, dt=1e-2),
+        lambda m, pts: estimate_A2(m, Measure(domain_grid(m, 3), np.full(9, 1 / 9)), pts, [0.1], 200, 1, dt=1e-2),
+        lambda m, pts: ht_profile(m, 0.1, pts, 200, 1, dt=1e-2),
+        lambda m, pts: certify_condition_A(m, ProbeGrid(points=pts, times=[0.1], budget=200), [0.2], 3, 1, dt=1e-2),
+        lambda m, pts: decay_report_model(
+            m, ConditionACertificate(0.2, 0.5, Measure(domain_grid(m, 3), np.full(9, 1 / 9)), 0.5),
+            [(pts[0], pts[1]), (pts[2], pts[-1])], [0.1, 0.2], 200, 3, 1, dt=1e-2,
+        ),
+    ],
+    ids=["estimate_A1", "estimate_A2", "ht_profile", "certify_condition_A", "decay_report_model"],
+)
+@pytest.mark.parametrize("bad", [[2.5, 1.0], [0.0, 1.0]])
+def test_bad_last_start_raises_before_any_step(call, bad, tally):
+    with pytest.raises(DomainError):
+        call(model_of("box2"), _with_bad_last(BOX2_POINTS, bad))
+    assert tally["generators"] == 0
+
+
+def test_small_budget_raises_before_any_step(tally):
+    model = model_of("box2")
+    with pytest.raises(ValueError, match="n >= 100"):
+        estimate_A1(model, BOX2_POINTS, 0.2, 3, 99, 1, dt=1e-2)
+    assert tally["generators"] == 0
+
+
+@pytest.mark.parametrize("bad", [0.5, 0.0, -0.1])
+def test_escape_check_bad_last_u_raises_before_any_step(bad, tally):
+    with pytest.raises(ValueError, match=rf"u={bad} outside \(0, eps1/2\)"):
+        escape_bounds_check(0.5, 1.0, [0.125, 0.25, bad], 1000, 3, dt=1e-3)
+    assert tally["generators"] == 0
