@@ -579,6 +579,10 @@ def boundary_return_constant(
     return bound C'/C and checks C' <= C.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if n < 100:
+        raise ValueError("need n >= 100")
+    if not model.domain.contains(pts).all():
+        raise DomainError("some probe points are not in the open domain")
     rep = VerificationReport(title=f"boundary return (t1={t1:g})")
     ratios = np.zeros(pts.shape[0])
     lowers = np.zeros(pts.shape[0])

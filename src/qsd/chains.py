@@ -81,9 +81,6 @@ class FiniteAbsorbedChain:
     def support(self) -> FiniteSupport:
         return FiniteSupport(self.n)
 
-    def absorption_probabilities(self) -> np.ndarray:
-        return 1.0 - self.kernel.sum(axis=1)
-
     def power(self, t: int) -> np.ndarray:
         """Q^t, computed once per t and returned read-only."""
         if t < 0:

@@ -139,9 +139,6 @@ class Measure:
             raise ValueError("cannot normalize a zero measure")
         return Measure(self.support, self.weights / m)
 
-    def expect(self, values: np.ndarray) -> float:
-        return float(self.weights @ np.asarray(values, dtype=float))
-
 
 def distribution(support, weights) -> Measure:
     """Construct a Measure and require total mass 1 within 1e-12."""

@@ -23,10 +23,6 @@ from .report import VerificationReport
 from .rng import stream_generator
 
 
-class ModelBoundsError(ValueError):
-    """Declared ellipticity or drift bounds fail on the sampled grid."""
-
-
 # --- diffusion coefficient fields --------------------------------------------
 
 

@@ -11,15 +11,17 @@ correction is switchable for bias studies.
 
 The estimators here and in `particles` advance their paths through one
 kernel, `_step`, whose noise `_variates` draws from a per-(seed, step)
-Philox block (see `rng`) in slot order: slot j serves row j of the paths
-passed in.  Most of them compact absorbed paths away, so a path's slot is
-its rank among the paths still alive at that step.  Its variate is then a
-function of (seed, step, alive slot), not of its original index: it
-depends on which paths died earlier, and splitting a batch changes the
-realisations.  Keying the noise by path id is item 1 of ROADMAP.md.
-Independent batches of one call, one start on one seed each, are stepped
-together (`_snapshots`); each draws from its own block in its own slot
-order, so stacking changes no variate.
+Philox block (see `rng`) in slot order.  Besides `simulate_path` and
+Fleming-Viot they all run on one loop, `_snapshots`, which compacts
+absorbed paths away: a path's slot is its rank among its batch's alive
+paths.  Its variate is then a function of (seed, step, alive slot), not of
+its original index: it depends on which paths died earlier, and splitting
+a batch changes the realisations.  Keying the noise by path id is item 1
+of ROADMAP.md.  Independent batches of one call, one start on one seed
+each, are stepped together, each on its own block in its own slot order,
+so stacking changes no variate.  The starts of a split profile share one
+block: within a window, every start's path on slot j (its row in its
+start's cloud) takes variate j.
 """
 
 from __future__ import annotations
@@ -123,21 +125,19 @@ def _alive_rows(alive, rows, total):
 
 
 def _step(model, x, noise, dt, bridge, rho):
-    """One Euler step with absorption for the paths in `x`:
+    """One Euler step with absorption for the k paths in `x`:
     (x_new, alive, rho_new).
 
-    `x` has shape (..., k, d); `rho`, of shape x.shape[:-1], is
-    rho_boundary(x), carried by every caller from the step before.  `noise`
-    is (z, u), k normal d-vectors (d = model.dim) and k uniforms, as
-    `_variates` draws them; slot j serves row j of the last-but-one axis,
-    and every leading axis shares the same k slots (common random numbers).
+    `x` has shape (k, d); `rho`, of shape (k,), is rho_boundary(x), carried
+    by every caller from the step before.  `noise` is (z, u), k normal
+    d-vectors (d = model.dim) and k uniforms, row j for row j of `x`.
     A path is alive when x_new lies in the open domain {rho > 0} and, with
     `bridge`, the Brownian-bridge crossing test u < p, p = exp(-2 rho(x)
     rho(x_new) / (sigma_n^2 dt)), does not fire; sigma_n^2 = |s(x)^T nu|^2
     is `model.normal_sigma2(x)`, nu the unit normal of the nearest boundary
     face; the field s(x) is evaluated once and feeds s(x) z and sigma_n^2.
-    `alive` and `rho_new` = rho_boundary(x_new) have shape x.shape[:-1];
-    non-finite rows of x_new are never alive.
+    `alive` and `rho_new` = rho_boundary(x_new) have shape (k,); non-finite
+    rows of x_new are never alive.
 
     p is only evaluated in the band rho(x) rho(x_new) < _BAND sigma_n^2 dt,
     with sigma_n^2 each path's own normal variance, and on paths whose
@@ -145,25 +145,20 @@ def _step(model, x, noise, dt, bridge, rho):
     of 2**-53, so elsewhere u >= 2**-53 > p and u < p cannot hold: the alive
     mask is bit for bit the one of evaluating p on every path.
     """
-    shape = x.shape
     z, u = noise
-    lead = math.prod(shape[:-2])
-    if lead > 1:
-        z, u = np.tile(z, (lead, 1)), np.tile(u, lead)
-    x = x.reshape(-1, shape[-1])
     s = model.diffusion.at(x)
     x_new = x + model.drift(x) * dt + model.diffusion.apply(x, z, s) * np.sqrt(dt)
     rho1 = model.domain.rho_boundary(x_new)
     alive = rho1 > 0
     if bridge:
-        rho0, sig2 = rho.reshape(-1), model.normal_sigma2(x, s)
-        band = np.flatnonzero(alive & ((rho0 * rho1 < sig2 * (_BAND * dt)) | (u == 0)))
-        r0, r1, s2 = rho0[band], rho1[band], sig2[band]
+        sig2 = model.normal_sigma2(x, s)
+        band = np.flatnonzero(alive & ((rho * rho1 < sig2 * (_BAND * dt)) | (u == 0)))
+        r0, r1, s2 = rho[band], rho1[band], sig2[band]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             p_cross = np.exp(-2.0 * r0 * r1 / (s2 * dt))
         p_cross = np.where(s2 > 0, p_cross, 0.0)
         alive[band[u[band] < p_cross]] = False
-    return x_new.reshape(shape), alive.reshape(shape[:-1]), rho1.reshape(shape[:-1])
+    return x_new, alive, rho1
 
 
 def _start_cloud(model, x, n):
@@ -237,20 +232,30 @@ def _snap_steps(times, dt) -> list[int]:
     return [int(np.ceil(t / dt - 1e-9)) for t in times]
 
 
-def _snapshots(model, clouds, times, dt, seeds, *, bridge=True, keep_positions=()):
+def _snapshots(model, clouds, times, dt, seeds, *, bridge=True, keep_positions=(), after=None):
     """`survival_snapshots` of every cloud k on seeds[k], in order: the
-    stacks of `_stacks` take one `_step` per step, compaction keeps each
-    batch's rows in order.  Every cloud is checked before any step."""
+    stacks of `_stacks` take one `_step` per step, and compaction keeps each
+    batch's rows in order.  Every cloud is checked before any step.
+
+    With one seed in place of the list, the clouds (n paths each) share its
+    noise as one stack: a step draws n variates, and row r takes those of
+    slot[r], its row in its cloud, carried through compaction.
+    `after(step, idx, (x, rho, rows, slot))`, run after each step's
+    compaction with `idx` the alive rows, returns the state that goes on;
+    slot is None for independent batches.
+    """
     clouds = [c[:, None] if c.ndim == 1 else c for c in (np.asarray(c, dtype=float) for c in clouds)]
     if not all(model.domain.contains(c).all() for c in clouds):
         raise DomainError("some start positions are not in the open domain")
     times = sorted(float(t) for t in times)
     snap = _snap_steps(times, dt)
     keep = {int(np.ceil(t / dt - 1e-9)) for t in keep_positions}
+    shared = np.ndim(seeds) == 0
     n_steps, out = max(snap) if snap else 0, []
-    for run in _stacks([c.size for c in clouds]):
+    for run in [list(range(len(clouds)))] if shared else _stacks([c.size for c in clouds]):
         rows = [clouds[k].shape[0] for k in run]  # alive paths of each batch
         x = clouds[run[0]] if len(run) == 1 else np.concatenate([clouds[k] for k in run])
+        slot = np.tile(np.arange(rows[0]), len(run)) if shared else None
         counts = np.zeros((len(run), len(times)), dtype=np.int64)  # 0 after every path died
         positions: list[dict[float, np.ndarray]] = [{} for _ in run]
         rho, own, ti = model.domain.rho_boundary(x), [_loop_generator() for _ in run], 0
@@ -266,10 +271,17 @@ def _snapshots(model, clouds, times, dt, seeds, *, bridge=True, keep_positions=(
             live = [b for b in live if rows[b]]
             if step == n_steps or not live:
                 break
-            draws = [(step_generator(seeds[run[b]], step, own[b]), rows[b]) for b in live]
-            x_new, alive, rho_new = _step(model, x, _variates(model.dim, draws), dt, bridge, rho)
-            x, rho = x_new[alive], rho_new[alive]
-            rows = _alive_rows(alive, rows, x.shape[0])
+            if shared:
+                z, u = _variates(model.dim, [(step_generator(seeds, step, own[0]), len(clouds[0]))])
+                noise = z.take(slot, 0), u.take(slot)
+            else:
+                noise = _variates(model.dim, [(step_generator(seeds[run[b]], step, own[b]), rows[b]) for b in live])
+            x_new, alive, rho_new = _step(model, x, noise, dt, bridge, rho)
+            idx = np.flatnonzero(alive)
+            x, rho, rows = x_new.take(idx, 0), rho_new.take(idx), _alive_rows(alive, rows, idx.size)
+            slot = None if slot is None else slot.take(idx)
+            if after is not None:
+                x, rho, rows, slot = after(step + 1, idx, (x, rho, rows, slot))
         for k, c, p in zip(run, counts, positions):
             out.append(SnapshotResult(np.array(times), c, len(clouds[k]), p))
     return out
@@ -327,16 +339,14 @@ def hitting_before(
 ) -> tuple[float, float]:
     """MC estimate of the joint event {T_K <= t1} and {t1 < tau}."""
     pos = _start_cloud(model, x, n)
-    hit = target.contains(pos)
-    rho, g = model.domain.rho_boundary(pos), _loop_generator()
-    n_steps = int(np.ceil(t1 / dt - 1e-9))
-    for step in range(n_steps):
-        if pos.shape[0] == 0:
-            break
-        draw = [(step_generator(seed, step, g), len(pos))]
-        new, alive, rho_new = _step(model, pos, _variates(model.dim, draw), dt, bridge, rho)
-        pos, hit, rho = new[alive], hit[alive], rho_new[alive]
-        hit |= target.contains(pos)
+    hit = target.contains(pos)  # per alive path: has it been in K yet
+
+    def visit(step, idx, state):
+        nonlocal hit
+        hit = hit.take(idx) | target.contains(state[0])
+        return state
+
+    _snapshots(model, [pos], [t1], dt, [seed], bridge=bridge, after=visit)
     p = float(hit.sum()) / n
     return p, float(np.sqrt(p * (1 - p) / n))
 
@@ -357,18 +367,16 @@ def tube_probability(
     pos = _start_cloud(model, x, n)
     center = np.atleast_1d(np.asarray(y, dtype=float))
     k1 = int(np.ceil(t1 / dt - 1e-9))
-    k2 = int(np.ceil(2 * t1 / dt - 1e-9))
-    rho, g = model.domain.rho_boundary(pos), _loop_generator()
-    for step in range(k2):
-        if pos.shape[0] == 0:
-            break
-        draw = [(step_generator(seed, step, g), len(pos))]
-        new, alive, rho_new = _step(model, pos, _variates(model.dim, draw), dt, bridge, rho)
-        pos, rho = new[alive], rho_new[alive]
-        if step + 1 >= k1:
-            inside = np.linalg.norm(pos - center, axis=1) <= radius
-            pos, rho = pos[inside], rho[inside]
-    p = float(pos.shape[0]) / n
+
+    def in_tube(step, idx, state):  # kills the paths outside B(y, r) from step k1 on
+        pts, rho, _, slot = state
+        if step < k1:
+            return state
+        inside = np.flatnonzero(np.linalg.norm(pts - center, axis=1) <= radius)
+        return pts.take(inside, 0), rho.take(inside), [inside.size], slot
+
+    [res] = _snapshots(model, [pos], [2 * t1], dt, [seed], bridge=bridge, after=in_tube)
+    p = float(res.counts[0]) / n
     return p, float(np.sqrt(p * (1 - p) / n))
 
 
@@ -391,53 +399,40 @@ def split_survival_profile(
     survival probability without the survivor count ever collapsing.
     Increment noise is shared across starts (common random numbers), which
     stabilizes profile ratios.  Returns (log-survival, approximate relative
-    SE), each of shape (len(times), len(xs)).  Resampling correlation is
-    ignored in the SE, which is therefore mildly optimistic.
+    SE), each of shape (len(times), len(xs)); a time that rounds to step 0
+    gives log-survival 0 and SE 0.  Resampling correlation is ignored in the
+    SE, which is therefore mildly optimistic.
     """
     xs = np.asarray(xs, dtype=float)
-    if xs.ndim == 1:
-        xs = xs[:, None]
-    if not model.domain.contains(xs).all():
-        raise DomainError("some starts are not in the open domain")
-    m = xs.shape[0]
     times = sorted(float(t) for t in times)
-    pos = np.repeat(xs[:, None, :], n, axis=1)  # (m, n, d)
-    rho = model.domain.rho_boundary(pos.reshape(-1, model.dim)).reshape(m, n)
-    log_surv = np.zeros(m)
-    rel_var = np.zeros(m)
-    out = np.full((len(times), m), np.nan)
-    out_se = np.full((len(times), m), np.nan)
-    snap = _snap_steps(times, dt)
-    w_steps = max(1, int(round(window / dt)))
-    n_steps = max(snap)
-    ti, g = 0, _loop_generator()
-    for step in range(n_steps):
-        draw = [(step_generator(seed, step, g), n)]
-        x_new, alive, rho_new = _step(model, pos, _variates(model.dim, draw), dt, bridge, rho)
-        pos = np.where(alive[..., None], x_new, np.nan)
-        rho = np.where(alive, rho_new, np.nan)
-        if (step + 1) % w_steps == 0 and step + 1 < n_steps:
-            for i in range(m):
-                alive_idx = np.flatnonzero(np.isfinite(pos[i][:, 0]))
-                k = alive_idx.size
-                if k == 0:
-                    log_surv[i] = -np.inf
-                    continue
-                frac = k / n
-                log_surv[i] += np.log(frac)
-                rel_var[i] += (1 - frac) / (frac * n)
-                gi = stream_generator(seed, purpose=(step + 1) * 1000 + i)
-                donors = alive_idx[gi.integers(0, k, size=n)]
-                pos[i], rho[i] = pos[i][donors], rho[i][donors]
-        while ti < len(times) and snap[ti] == step + 1:
-            for i in range(m):
-                k = int(np.isfinite(pos[i][:, 0]).sum())
-                if k == 0 or not np.isfinite(log_surv[i]):
-                    out[ti, i] = -np.inf
-                    out_se[ti, i] = np.inf
-                else:
+    snap, m = _snap_steps(times, dt), len(xs)
+    w_steps, n_steps = max(1, int(round(window / dt))), max(snap)
+    log_surv, rel_var = np.zeros(m), np.zeros(m)
+    at_snap = np.zeros((2, len(times), m))  # (log_surv, rel_var) at each snapshot
+
+    def resample(step, idx, state):
+        x, rho, rows, slot = state
+        if step % w_steps == 0 and step < n_steps and any(rows):
+            donors, lo = [], 0  # n picks among each live start's alive rows
+            for i, k in enumerate(rows):
+                if k:
                     frac = k / n
-                    out[ti, i] = log_surv[i] + np.log(frac)
-                    out_se[ti, i] = np.sqrt(rel_var[i] + (1 - frac) / (frac * n))
-            ti += 1
+                    log_surv[i] += np.log(frac)
+                    rel_var[i] += (1 - frac) / (frac * n)
+                    donors.append(lo + stream_generator(seed, purpose=step * 1000 + i).integers(0, k, size=n))
+                lo += k
+            pick = np.concatenate(donors)
+            x, rho, slot = x.take(pick, 0), rho.take(pick), np.tile(np.arange(n), len(donors))
+            rows = [n if k else 0 for k in rows]
+        at = [ti for ti, s in enumerate(snap) if s == step]
+        at_snap[0, at], at_snap[1, at] = log_surv, rel_var
+        return x, rho, rows, slot
+
+    res = _snapshots(model, [np.tile(x, (n, 1)) for x in xs], times, dt, seed, bridge=bridge, after=resample)
+    out, out_se = np.full((len(times), m), -np.inf), np.full((len(times), m), np.inf)
+    for (ti, i), k in np.ndenumerate(np.array([r.counts for r in res]).T):
+        if k:  # else no path of start i is alive: log-survival -inf, SE inf
+            frac = k / n
+            out[ti, i] = at_snap[0, ti, i] + np.log(frac)
+            out_se[ti, i] = np.sqrt(at_snap[1, ti, i] + (1 - frac) / (frac * n))
     return out, out_se

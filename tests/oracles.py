@@ -8,6 +8,9 @@ step, rebirth and binning code: the crossing probability on every path,
 one donor draw per dead particle, and one `searchsorted` per axis.  The
 boundary geometry before them keeps each domain's own open-domain test and
 normal encoding (the axis itself, a nearest-axis index, unit vectors).
+The batch loops last (snapshots, hitting, tube, windowed splitting) each
+step on their own with that plain step, where the package runs them all
+on one loop.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from scipy.stats import norm
 
 from qsd.domains import Box, Interval
 from qsd.models import ConstantIsotropic
-from qsd.rng import step_generator
+from qsd.rng import step_generator, stream_generator
 
 
 # --- 1-d Dirichlet eigensolver (finite differences) ---------------------------
@@ -380,3 +383,103 @@ def fleming_viot_reference(model, pos, n_steps, edges, seed, *, dt, burn_steps, 
         if step >= burn_steps:
             occ += np.bincount(bin_index_reference(edges, pos), minlength=occ.size)
     return occ, rebirths, pos, chained
+
+
+# --- batch estimator loops, as they stood on their own ------------------------------
+
+
+def snapshots_reference(model, cloud, times, dt, seed, *, bridge=True):
+    """Alive counts and alive positions of one cloud at each of the sorted
+    `times`: a plain loop that steps the survivors, fresh `step_generator`
+    per step, and drops the dead by boolean mask."""
+    pos = np.asarray(cloud, dtype=float)
+    snap = [int(np.ceil(t / dt - 1e-9)) for t in sorted(times)]
+    counts, positions = [], []
+    for step in range(max(snap) + 1):
+        for _ in range(snap.count(step)):
+            counts.append(pos.shape[0])
+            positions.append(pos.copy())
+        if pos.shape[0] == 0 or step == max(snap):
+            break
+        new, alive = step_reference(model, pos, step_generator(seed, step), dt, bridge)
+        pos = new[alive]
+    counts += [0] * (len(snap) - len(counts))
+    return np.array(counts), positions
+
+
+def hitting_reference(model, x, target, t1, n, seed, *, dt, bridge=True):
+    """The loop of `simulate.hitting_before` as it stood on its own: a hit
+    mask per alive path, compacted with the survivors and OR-ed with
+    membership in `target` after every step."""
+    pos = np.tile(np.atleast_1d(np.asarray(x, dtype=float)), (n, 1))
+    hit = target.contains(pos)
+    for step in range(int(np.ceil(t1 / dt - 1e-9))):
+        if pos.shape[0] == 0:
+            break
+        new, alive = step_reference(model, pos, step_generator(seed, step), dt, bridge)
+        pos, hit = new[alive], hit[alive]
+        hit |= target.contains(pos)
+    p = float(hit.sum()) / n
+    return p, float(np.sqrt(p * (1 - p) / n))
+
+
+def tube_reference(model, x, y, radius, t1, n, seed, *, dt, bridge=True):
+    """The loop of `simulate.tube_probability` as it stood on its own: from
+    step k1 on, the paths outside B(y, r) are dropped after every step."""
+    pos = np.tile(np.atleast_1d(np.asarray(x, dtype=float)), (n, 1))
+    center = np.atleast_1d(np.asarray(y, dtype=float))
+    k1 = int(np.ceil(t1 / dt - 1e-9))
+    for step in range(int(np.ceil(2 * t1 / dt - 1e-9))):
+        if pos.shape[0] == 0:
+            break
+        new, alive = step_reference(model, pos, step_generator(seed, step), dt, bridge)
+        pos = new[alive]
+        if step + 1 >= k1:
+            pos = pos[np.linalg.norm(pos - center, axis=1) <= radius]
+    p = float(pos.shape[0]) / n
+    return p, float(np.sqrt(p * (1 - p) / n))
+
+
+def split_profile_reference(model, xs, times, n, seed, *, dt, window, bridge=True):
+    """The windowed-splitting loop of `simulate.split_survival_profile` as it
+    stood on its own: every start's n rows in one (m, n, d) array, dead rows
+    kept as NaN and stepped until a window's end resamples the start, and
+    row j of every start on slot j of the step's noise.  A time that rounds
+    to step 0 is never recorded (NaN)."""
+    xs = np.asarray(xs, dtype=float).reshape(len(xs), -1)
+    m = xs.shape[0]
+    times = sorted(float(t) for t in times)
+    snap = [int(np.ceil(t / dt - 1e-9)) for t in times]
+    w_steps = max(1, int(round(window / dt)))
+    pos = np.repeat(xs[:, None, :], n, axis=1)
+    log_surv, rel_var = np.zeros(m), np.zeros(m)
+    out = np.full((len(times), m), np.nan)
+    out_se = np.full((len(times), m), np.nan)
+    ti, n_steps = 0, max(snap)
+    for step in range(n_steps):
+        with np.errstate(invalid="ignore"):
+            new, alive = step_reference(model, pos, step_generator(seed, step), dt, bridge)
+        pos = np.where(alive[..., None], new, np.nan)
+        if (step + 1) % w_steps == 0 and step + 1 < n_steps:
+            for i in range(m):
+                alive_idx = np.flatnonzero(np.isfinite(pos[i][:, 0]))
+                k = alive_idx.size
+                if k == 0:
+                    log_surv[i] = -np.inf
+                    continue
+                frac = k / n
+                log_surv[i] += np.log(frac)
+                rel_var[i] += (1 - frac) / (frac * n)
+                gi = stream_generator(seed, purpose=(step + 1) * 1000 + i)
+                pos[i] = pos[i][alive_idx[gi.integers(0, k, size=n)]]
+        while ti < len(times) and snap[ti] == step + 1:
+            for i in range(m):
+                k = int(np.isfinite(pos[i][:, 0]).sum())
+                if k == 0 or not np.isfinite(log_surv[i]):
+                    out[ti, i], out_se[ti, i] = -np.inf, np.inf
+                else:
+                    frac = k / n
+                    out[ti, i] = log_surv[i] + np.log(frac)
+                    out_se[ti, i] = np.sqrt(rel_var[i] + (1 - frac) / (frac * n))
+            ti += 1
+    return out, out_se

@@ -183,8 +183,8 @@ def field_once_model(domain_spec, kind, drift="zero"):
 
 
 def non_finite_rows(d):
-    """A NaN row (as split_survival_profile keeps dead paths), a NaN and
-    an infinity in each coordinate of an otherwise central point."""
+    """A NaN row (a dead path kept in place), a NaN and an infinity in each
+    coordinate of an otherwise central point."""
     rows = [np.full(d, np.nan)]
     for k in range(d):
         for v in (np.nan, np.inf, -np.inf):
@@ -426,22 +426,6 @@ STEP_SPECS = [
 ]
 
 
-@pytest.mark.parametrize("bridge", [True, False])
-@pytest.mark.parametrize("specs", STEP_SPECS)
-def test_step_stack_equals_separate_calls(specs, bridge):
-    model = build_model(*specs)
-    xs = model.domain.uniform(np.random.default_rng(5), 3 * 40).reshape(3, 40, model.dim)
-    xs[1, 7] = np.nan  # a dead row, as split_survival_profile keeps them
-    rho = model.domain.rho_boundary(xs.reshape(-1, model.dim)).reshape(3, 40)
-    x_new, alive, _ = _step(model, xs, _variates(model.dim, [(step_generator(9, 4), 40)]), 0.01, bridge, rho)
-    assert alive.shape == (3, 40)
-    assert alive.any() and not alive.all()
-    for i in range(3):
-        xi, ai, _ = _step(model, xs[i], _variates(model.dim, [(step_generator(9, 4), 40)]), 0.01, bridge, rho[i])
-        assert np.array_equal(x_new[i], xi, equal_nan=True)
-        assert np.array_equal(alive[i], ai)
-
-
 @pytest.mark.parametrize(
     "domain,points",
     [
@@ -511,7 +495,7 @@ def test_field_once_step_equals_reference(domain_spec, kind):
             assert np.array_equal(new_x, ref_x, equal_nan=True)
             assert np.array_equal(alive, ref_alive)
             assert not alive[dead | ~np.isfinite(new_x).all(axis=1)].any()
-            # dead rows stay as NaN, as split_survival_profile keeps them
+            # dead rows stay in place as NaN and are stepped again
             x = np.where(alive[:, None], new_x, np.nan)
             rho = np.where(alive, rho_new, np.nan)
             dead = ~alive

@@ -3,7 +3,9 @@
 A stack shares one array and one `_step` per step, but each batch draws
 from its own (seed, step) block in its own slot order, so every output
 here must equal, bit for bit, the one-batch public function run per start,
-with the same number of generators and variates.
+with the same number of generators and variates.  Windowed splitting,
+hitting and tube probabilities, cases of the same loop, must equal the
+stand-alone loops of `oracles` in the same way.
 """
 
 import collections
@@ -18,22 +20,39 @@ import qsd.simulate
 from qsd.certificates import (
     ConditionACertificate,
     ProbeGrid,
+    boundary_return_constant,
     certify_condition_A,
     decay_report_model,
     estimate_A1,
     estimate_A2,
+    gradient_profile,
     ht_profile,
     minorize_laws,
 )
-from qsd.domains import DomainError
+from qsd.domains import BallTarget, DomainError, InnerCompact
 from qsd.measures import Measure, histogram_from_samples
 from qsd.models import build_model
 from qsd.particles import conditioned_law_series, domain_grid
 from qsd.rng import stream_generator, substream
 from qsd.scale1d import escape_bounds_check, green_constants, natural_scale_exit_mc
-from qsd.simulate import _STACK, _snapshots, _stacks, survival_snapshots
+from qsd.simulate import (
+    _STACK,
+    _snapshots,
+    _stacks,
+    hitting_before,
+    split_survival_profile,
+    survival_snapshots,
+    tube_probability,
+)
 
-from oracles import exit_mc_reference
+import oracles
+from oracles import (
+    exit_mc_reference,
+    hitting_reference,
+    snapshots_reference,
+    split_profile_reference,
+    tube_reference,
+)
 
 # model, a deep start, a start 1e-4 from the boundary
 DOMAINS = {
@@ -43,6 +62,7 @@ DOMAINS = {
     "box3": ("box 0 0 0 2 2 2", "zero", "diagonal_holder 1.0 0.3 0.5 1 1 1", [1, 1, 1], [1e-4, 1, 1]),
 }
 SIZES = (100, 1003, 4000, 3500, 100)  # the first batch starts at the boundary
+MIDS = {"interval": [0.4], "box2": [0.3, 0.5], "disc": [0.5, 0.5], "box3": [0.3, 1, 0.5]}
 
 
 def model_of(name):
@@ -66,9 +86,9 @@ class _Counted:
         return draw
 
 
-@pytest.fixture
-def tally(monkeypatch):
-    """Counts of `step_generator` calls and of the variates drawn from them."""
+def _count_draws(monkeypatch, *modules):
+    """Counts of the `step_generator` calls made from `modules` and of the
+    variates drawn from them."""
     counts = collections.Counter()
     real = qsd.rng.step_generator
 
@@ -76,9 +96,15 @@ def tally(monkeypatch):
         counts["generators"] += 1
         return _Counted(real(*args, **kwargs), counts)
 
-    for mod in (qsd.simulate, qsd.particles, qsd.scale1d):
+    for mod in modules:
         monkeypatch.setattr(mod, "step_generator", counted)
     return counts
+
+
+@pytest.fixture
+def tally(monkeypatch):
+    """Counts of the package's `step_generator` calls and variates."""
+    return _count_draws(monkeypatch, qsd.simulate, qsd.particles, qsd.scale1d)
 
 
 # --- the stacked snapshot loop ---------------------------------------------------
@@ -127,6 +153,94 @@ def test_conditioned_law_series_is_the_one_batch_case():
     assert np.array_equal(survs, res.survival())
     for h, t in zip(hists, res.times):
         assert np.array_equal(h.weights, histogram_from_samples(grid, res.positions[t]).weights)
+
+
+@pytest.mark.parametrize("bridge", [True, False])
+@pytest.mark.parametrize("name", list(DOMAINS))
+def test_conditioned_law_series_equals_the_reference_loop(name, bridge):
+    """Kept positions, the last snapshot's too, from a loop that compacts by
+    mask; the boundary start dies out with the bridge on."""
+    model, n, times = model_of(name), 600, [0.1, 0.3, 0.05]
+    grid, survs = domain_grid(model, 4), []
+    for start in (MIDS[name], DOMAINS[name][4]):
+        hists, surv = conditioned_law_series(model, start, times, n, grid, 18, dt=5e-3, bridge=bridge)
+        counts, positions = snapshots_reference(model, np.tile(start, (n, 1)), times, 5e-3, 18, bridge=bridge)
+        assert np.array_equal(surv, counts / n)
+        assert [h is None for h in hists] == [k == 0 for k in counts]
+        for h, pos in zip(hists, positions):
+            assert h is None or np.array_equal(h.weights, histogram_from_samples(grid, pos).weights)
+        survs.append(surv)
+    assert survs[0][-1] > 0 and (survs[1][0] == 0) == bridge
+
+
+# --- windowed splitting, hitting and tube probabilities on the one loop -------------
+
+
+@pytest.mark.parametrize("bridge", [True, False])
+@pytest.mark.parametrize("name", list(DOMAINS))
+def test_split_profile_equals_the_reference_loop(name, bridge, monkeypatch, tally):
+    """Bit for bit, with one draw of n variates per step shared by every
+    start (common random numbers), at snapshot times on and off window ends
+    and at a size above the stack cap."""
+    model = model_of(name)
+    deep, edge = DOMAINS[name][3:]
+    xs = np.array([deep, edge, MIDS[name]])
+    drawn = _count_draws(monkeypatch, oracles)
+    cases = ((300, [0.03, 0.1, 0.17, 0.25], 0.05), (150, [0.2, 0.2, 0.4], 0.02), (3000, [0.15, 0.3], 0.1))
+    assert 3 * 3000 * model.dim > _STACK
+    for n, times, window in cases:
+        logp, logse = split_survival_profile(model, xs, times, n, 11, dt=1e-2, window=window, bridge=bridge)
+        ref, ref_se = split_profile_reference(model, xs, times, n, 11, dt=1e-2, window=window, bridge=bridge)
+        assert np.array_equal(logp, ref) and np.array_equal(logse, ref_se)
+        assert np.isfinite(logp[-1, [0, 2]]).all()
+        assert dict(tally) == dict(drawn) and tally["generators"] > 0
+        if bridge and n == 150:  # the boundary start dies out while the others live
+            assert logp[-1, 1] == -np.inf and logse[-1, 1] == np.inf
+        tally.clear()
+        drawn.clear()
+
+
+@pytest.mark.parametrize("name", list(DOMAINS))
+def test_split_profile_time_zero_is_log_survival_zero(name):
+    model = model_of(name)
+    xs = np.array([DOMAINS[name][3], MIDS[name]])
+    logp, logse = split_survival_profile(model, xs, [0.0, 0.2], 300, 11, dt=1e-2, window=0.05)
+    assert np.array_equal(logp[0], [0.0, 0.0]) and np.array_equal(logse[0], [0.0, 0.0])
+    alone, alone_se = split_survival_profile(model, xs, [0.2], 300, 11, dt=1e-2, window=0.05)
+    assert np.array_equal(logp[1:], alone) and np.array_equal(logse[1:], alone_se)
+
+
+def test_windowed_gradient_and_ht_profiles_at_time_zero():
+    """At t = 0 every survival is 1 with SE 0, windowed or not."""
+    model, pts = model_of("box2"), BOX2_POINTS
+    plain = gradient_profile(model, [0.0, 0.2], pts, 300, 19, dts=[1e-2] * 2)
+    windowed = gradient_profile(model, [0.0, 0.2], pts, 300, 19, dts=[1e-2] * 2, windows=[0.1, 0.1])
+    assert windowed.lipschitz[0] == plain.lipschitz[0] > 0
+    assert windowed.max_survival[0] == plain.max_survival[0] == 1.0
+    assert not windowed.inconclusive[0] and not plain.inconclusive[0]
+    prof = ht_profile(model, 0.0, pts, 300, 20, dt=1e-2, window=0.1)
+    assert np.array_equal(prof.h, np.ones(len(pts))) and prof.degenerate
+
+
+@pytest.mark.parametrize("bridge", [True, False])
+@pytest.mark.parametrize("name", list(DOMAINS))
+def test_hitting_and_tube_equal_the_reference_loops(name, bridge, monkeypatch, tally):
+    model = model_of(name)
+    deep, edge = DOMAINS[name][3:]
+    mid = MIDS[name]
+    inner, ball = InnerCompact(model.domain, 0.2), BallTarget(tuple(deep), 0.3)
+    drawn = _count_draws(monkeypatch, oracles)
+    for x in (deep, edge, mid):
+        for t1 in (0.05, 0.3):
+            for f, ref, args in (
+                (hitting_before, hitting_reference, (x, inner, t1, 700, 13, dict(dt=1e-2))),
+                (hitting_before, hitting_reference, (x, ball, t1, 500, 14, dict(dt=5e-3))),
+                (tube_probability, tube_reference, (x, deep, 0.6, t1, 800, 15, dict(dt=1e-2))),
+                (tube_probability, tube_reference, (x, mid, 0.3, t1, 400, 16, dict(dt=5e-3))),
+            ):
+                got = f(model, *args[:-1], **args[-1], bridge=bridge)
+                assert got == ref(model, *args[:-1], **args[-1], bridge=bridge)
+    assert dict(tally) == dict(drawn) and tally["generators"] > 0
 
 
 # --- the exit loop of scale1d ------------------------------------------------------
@@ -295,6 +409,17 @@ def test_small_budget_raises_before_any_step(tally):
     model = model_of("box2")
     with pytest.raises(ValueError, match="n >= 100"):
         estimate_A1(model, BOX2_POINTS, 0.2, 3, 99, 1, dt=1e-2)
+    assert tally["generators"] == 0
+
+
+@pytest.mark.parametrize("bad", [[2.5, 1.0], [0.0, 1.0]])
+def test_boundary_return_bad_last_point_raises_before_any_step(bad, tally):
+    model = model_of("box2")
+    target = InnerCompact(model.domain, 0.2)
+    with pytest.raises(DomainError):
+        boundary_return_constant(model, target, 0.1, _with_bad_last(BOX2_POINTS, bad), 1000, 1, dt=1e-3)
+    with pytest.raises(ValueError, match="n >= 100"):
+        boundary_return_constant(model, target, 0.1, BOX2_POINTS, 99, 1, dt=1e-3)
     assert tally["generators"] == 0
 
 
