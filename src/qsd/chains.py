@@ -7,9 +7,10 @@ two-sided-estimate certificates, and the minorization objects built from
 infimum measures.
 
 Each chain caches what depends on its kernel alone: the primitivity
-verdict, the Perron data of `qsd_spectral` and the read-only matrix powers
-of `power`.  The cache lives on the instance and dies with it; a
-`PrimitivityError` is raised again on every call, never stored.
+verdict, the Perron data of `qsd_spectral`, the read-only matrix powers
+of `power` and the read-only survival sequence v_t = Q^t 1 / max(Q^t 1)
+behind every survival ratio.  The cache lives on the instance and dies
+with it; a `PrimitivityError` is raised again on every call, never stored.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ EIG_TOL = 1e-10
 POWER_TOL = 1e-13
 POWER_MAX_ITER = 10**6
 DENSE_EIG_MAX_N = 512
+_TV_BLOCK_FLOATS = 2**16  # floats gathered per block of conditioned-TV steps
 
 
 class ChainFormatError(ValueError):
@@ -299,13 +301,28 @@ def _conditioned_tv(
     chain: FiniteAbsorbedChain, laws: np.ndarray, pairs: np.ndarray, t_max: int
 ) -> np.ndarray:
     """TV distance between the conditioned laws evolved from laws[i] and
-    laws[j] for every row (i, j) of `pairs`, at t = 0..t_max: (len(pairs), t_max + 1)."""
-    d = laws
+    laws[j] for every row (i, j) of `pairs`, at t = 0..t_max: (len(pairs), t_max + 1).
+
+    The laws are stepped into a buffer of `block` times, sized to gather
+    about _TV_BLOCK_FLOATS floats per TV pass, and the TVs of a full buffer
+    are taken at once; the step into a block reads the last row of the
+    previous one.  `np.dot` makes the BLAS call of `@` with less overhead.
+    """
+    q = chain.kernel
+    a, b = pairs[:, 0], pairs[:, 1]
+    block = min(t_max + 1, max(1, _TV_BLOCK_FLOATS // (len(pairs) * chain.n)))
+    d = np.empty((block,) + laws.shape)
+    d[0] = laws
     tvs = np.empty((len(pairs), t_max + 1))
     for t in range(t_max + 1):
-        tvs[:, t] = np.abs(d[pairs[:, 0]] - d[pairs[:, 1]]).sum(axis=1)
-        d = d @ chain.kernel
-        d /= d.sum(axis=1, keepdims=True)
+        s = t % block
+        if t:
+            row = d[s]
+            np.dot(d[s - 1], q, out=row)  # d[-1] at s == 0: the previous block's end
+            row /= np.add.reduce(row, 1, keepdims=True)
+        if s == block - 1 or t == t_max:
+            blk = d[: s + 1]
+            tvs[:, t - s : t + 1] = np.abs(blk.take(a, 1) - blk.take(b, 1)).sum(axis=2).T
     return tvs
 
 
@@ -472,17 +489,33 @@ def survival_ratio(
     )
 
 
+def _survival_vectors(chain: FiniteAbsorbedChain, horizon: int) -> np.ndarray:
+    """v_t = Q^t 1 / max(Q^t 1) for t = 0..horizon, (horizon + 1, n), read-only.
+
+    Cached per chain; a longer horizon than the cached one rebuilds it.
+    Every row has max exactly 1.0.
+    """
+    v = chain._cache.get("survival")
+    if v is None or len(v) <= horizon:
+        v = np.empty((horizon + 1, chain.n))
+        v[0] = 1.0
+        for prev, row in zip(v, v[1:]):
+            np.dot(chain.kernel, prev, out=row)  # the BLAS call of `@`, with less overhead
+            row /= row[row.argmax()]  # the max, without the overhead of `max`
+        v.flags.writeable = False
+        chain._cache["survival"] = v
+    return v[: horizon + 1]
+
+
 def _survival_ratios(
     chain: FiniteAbsorbedChain, laws: np.ndarray, horizon: int
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Ratios c_t(pi) for every row pi of `laws` and t = 0..horizon, (m, horizon + 1),
     and their limits pi(eta)/||eta||_inf (None when the chain is not primitive)."""
-    v = np.ones(chain.n)
-    vals = np.empty((len(laws), horizon + 1))
-    for t in range(horizon + 1):
-        vals[:, t] = (laws @ v) / v.max()
-        v = chain.kernel @ v
-        v /= v.max()
+    vals = np.empty((horizon + 1, len(laws)))
+    for v, out in zip(_survival_vectors(chain, horizon), vals):
+        np.matmul(laws, v, out=out)  # one product per t: a single laws @ v.T rounds differently
+    vals = vals.T
     if not is_primitive(chain):
         return vals, None
     eta = qsd_spectral(chain).eta

@@ -139,6 +139,36 @@ def conditioned_tv_series(Q: np.ndarray, pi1, pi2, t_max: int) -> np.ndarray:
     return np.array(tvs)
 
 
+def survival_ratios_reference(Q: np.ndarray, laws: np.ndarray, horizon: int) -> np.ndarray:
+    """c_t(pi) for every row pi of `laws`, t = 0..horizon, renormalizing v each step.
+
+    The package's batched loop before it cached the survival sequence; its
+    arithmetic is the package's, so results agree bit for bit.
+    """
+    v = np.ones(Q.shape[0])
+    vals = np.empty((len(laws), horizon + 1))
+    for t in range(horizon + 1):
+        vals[:, t] = (laws @ v) / v.max()
+        v = Q @ v
+        v /= v.max()
+    return vals
+
+
+def conditioned_tv_reference(Q: np.ndarray, laws: np.ndarray, pairs: np.ndarray, t_max: int) -> np.ndarray:
+    """TVs between the conditioned laws of every row (i, j) of `pairs`, one step at a time.
+
+    The package's batched loop before it stepped in blocks; its arithmetic
+    is the package's, so results agree bit for bit.
+    """
+    d = laws
+    tvs = np.empty((len(pairs), t_max + 1))
+    for t in range(t_max + 1):
+        tvs[:, t] = np.abs(d[pairs[:, 0]] - d[pairs[:, 1]]).sum(axis=1)
+        d = d @ Q
+        d /= d.sum(axis=1, keepdims=True)
+    return tvs
+
+
 def condition_A_prime_brute(Q: np.ndarray, K, t1: int, horizon: int) -> tuple[float, float, float]:
     """(c1', c2', A) of condition (A') by an explicit double loop over state pairs.
 

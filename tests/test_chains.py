@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsd import chains
 from qsd.chains import (
     POWER_MAX_ITER,
     POWER_TOL,
@@ -13,6 +14,7 @@ from qsd.chains import (
     _conditioned_tv,
     _power_iteration,
     _survival_ratios,
+    _survival_vectors,
     build_nu_xy,
     evolve_conditioned,
     fit_two_sided,
@@ -26,6 +28,7 @@ from qsd.measures import tv_distance
 
 from oracles import (
     brute_force_survival_ratio,
+    conditioned_tv_reference,
     conditioned_tv_series,
     dense_left_perron,
     dense_right_perron,
@@ -33,6 +36,7 @@ from oracles import (
     nu_xy_brute,
     random_positive_chain,
     survival_ratio_series,
+    survival_ratios_reference,
 )
 
 SYM2 = np.array([[0.4, 0.2], [0.2, 0.4]])
@@ -214,8 +218,13 @@ def test_spectral_data_and_powers_are_cached_per_chain():
     assert not p.flags.writeable
     with pytest.raises(ValueError):
         p[0, 0] = 1.0
+    v = _survival_vectors(chain, 40)
+    assert np.shares_memory(_survival_vectors(chain, 40), v)
+    assert np.shares_memory(_survival_vectors(chain, 10), v)
+    assert not v.flags.writeable
     # a fresh chain on the same kernel starts with an empty cache
     assert qsd_spectral(FiniteAbsorbedChain(q)) is not qsd_spectral(chain)
+    assert not np.shares_memory(_survival_vectors(FiniteAbsorbedChain(q), 40), v)
 
 
 def test_qsd_fixed_point_and_survival_identity(sym2):
@@ -338,6 +347,63 @@ def test_batched_conditioned_tv_matches_per_pair_loop():
     assert tvs.shape == (4, 41)
     for (i, j), row in zip(pairs, tvs):
         assert np.allclose(row, conditioned_tv_series(q, laws[i], laws[j], 40), rtol=0, atol=1e-15)
+
+
+def test_survival_ratios_equal_the_step_loop_bit_for_bit():
+    rng = np.random.default_rng(23)
+    for n, horizon in ((1, 5), (3, 1), (5, 100), (20, 37), (40, 12)):
+        q = random_positive_chain(rng, n, 0.85)
+        laws = rng.exponential(size=(7, n))
+        laws /= laws.sum(axis=1, keepdims=True)
+        vals, _ = _survival_ratios(FiniteAbsorbedChain(q), laws, horizon)
+        assert np.array_equal(vals, survival_ratios_reference(q, laws, horizon))
+
+
+def test_survival_sequence_cache_across_horizons():
+    # one chain asked for 50, then 100 (a rebuild), then 60 (a slice) answers
+    # as a fresh chain does at each horizon
+    rng = np.random.default_rng(29)
+    q = random_positive_chain(rng, 6, 0.8)
+    laws = rng.exponential(size=(3, 6))
+    laws /= laws.sum(axis=1, keepdims=True)
+    chain = FiniteAbsorbedChain(q)
+    for horizon in (50, 100, 60):
+        vals, limits = _survival_ratios(chain, laws, horizon)
+        fresh_vals, fresh_limits = _survival_ratios(FiniteAbsorbedChain(q), laws, horizon)
+        assert np.array_equal(vals, fresh_vals)
+        assert np.array_equal(limits, fresh_limits)
+        v = _survival_vectors(chain, horizon)
+        assert v.shape == (horizon + 1, 6)
+        assert not v.flags.writeable
+        with pytest.raises(ValueError):
+            v[0, 0] = 2.0
+    assert len(chain._cache["survival"]) == 101
+    assert (_survival_vectors(chain, 100).max(axis=1) == 1.0).all()
+
+
+@pytest.mark.parametrize(
+    "n, pairs, t_max, block_floats",
+    [
+        (5, [[0, 1], [2, 3]], 50, None),  # one block
+        (5, [[0, 1], [2, 3]], 50, 7 * 2 * 5),  # blocks of 7 times: 51 = 7 * 7 + 2
+        (6, [[0, 1], [2, 3], [3, 0], [1, 1]], 40, 4 * 4 * 6),  # blocks of 4: 41 = 4 * 10 + 1
+        (4, [[0, 3], [0, 3], [2, 2], [3, 0], [1, 2]], 23, 5 * 3),  # below one gather: blocks of 1
+        (5, [[1, 0]], 1, None),  # t_max = 1
+        (5, [[1, 0], [4, 2], [1, 0]], 1, 3 * 5),  # t_max = 1 in blocks of 1
+        (20, [[0, 1]], 100, 2**16),  # m = 6 laws, one pair
+    ],
+)
+def test_conditioned_tv_equals_the_step_loop_bit_for_bit(monkeypatch, n, pairs, t_max, block_floats):
+    if block_floats is not None:
+        monkeypatch.setattr(chains, "_TV_BLOCK_FLOATS", block_floats)
+    rng = np.random.default_rng(n * 1000 + t_max)
+    q = random_positive_chain(rng, n, 0.85)
+    laws = rng.exponential(size=(6, n))
+    laws /= laws.sum(axis=1, keepdims=True)
+    pairs = np.array(pairs)
+    tvs = _conditioned_tv(FiniteAbsorbedChain(q), laws, pairs, t_max)
+    assert tvs.shape == (len(pairs), t_max + 1)
+    assert np.array_equal(tvs, conditioned_tv_reference(q, laws, pairs, t_max))
 
 
 def test_survival_ratio_non_primitive_flag():
