@@ -327,18 +327,22 @@ def decay_report_chain(
     (any object with c1, c2, t0 attributes).
 
     Checks the 2 (1-c1c2)^floor(t/t0) bound and the pair-contraction form
-    with the survival-comparison constants c(pi); fits the empirical rate.
+    with the survival-comparison constants c(pi); fits the empirical rate
+    to the TVs above 1e-6 of each pair's first one.  No pairs, or
+    t_max < 1, is a ValueError: the margins would hold trivially.
     """
     laws = np.asarray(pairs, dtype=float)  # (pairs, 2, n)
     if len(laws) == 0:
         raise ValueError("decay_report_chain needs at least one pair of initial laws")
+    if t_max < 1:
+        raise ValueError("t_max must be >= 1")
     c1c2 = cert.c1 * cert.c2
     t0 = int(cert.t0)
     rep = VerificationReport(title=f"decay report (chain, t0={t0})")
     gamma_hat = -np.log(1 - c1c2) / t0
     rep.add_info("gamma-hat", gamma_hat)
     laws = laws.reshape(2 * len(laws), -1)  # pi1, pi2 of each pair in turn
-    vals, limits = _survival_ratios(chain, laws, max(t_max, 1))
+    vals, limits = _survival_ratios(chain, laws, t_max)
     c_pi = vals.min(axis=1) if limits is None else np.minimum(vals.min(axis=1), limits)
     c_max = c_pi.reshape(-1, 2).max(axis=1, keepdims=True)
     tvs = _conditioned_tv(chain, laws, np.arange(len(laws)).reshape(-1, 2), t_max)
@@ -347,7 +351,8 @@ def decay_report_chain(
     worst_pair = (decay * tvs[:, :1] / c_max - tvs).min()
     gammas = []
     for tv in tvs:
-        pos = tv > 1e-12  # below that the TV sits on the float-rounding floor
+        # a floor relative to tv[0] keeps the fit off the TVs that rounding dominates
+        pos = tv > 1e-6 * tv[0]
         if pos.sum() >= 3:
             t_arr = np.arange(t_max + 1)[pos]
             y = -np.log(tv[pos])

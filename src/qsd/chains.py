@@ -410,11 +410,14 @@ def verify_theorem_2_1(
           initial laws, all t <= t_max;
     (iv) discrete second-gap transcription: every non-Perron eigenvalue
          theta of Q^t0 has |theta| <= perron^t0 (1 - c^-5 mu(f)).
-    Failures are recorded in the report, never raised; n_pairs < 1 is a
-    ValueError, since check (iii) would then have no evidence.
+    Failures are recorded in the report, never raised; n_pairs < 1 or
+    t_max < 1 is a ValueError, since check (iii) would then have no
+    evidence beyond t = 0, where it holds trivially.
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
+    if t_max < 1:
+        raise ValueError("t_max must be >= 1")
     rep = VerificationReport(title=f"theorem-2.1 checks (t0={cert.t0}, c={cert.c:.6g})")
     spec = qsd_spectral(chain)
     c, mu, f = cert.c, cert.mu, cert.f
@@ -436,8 +439,10 @@ def verify_theorem_2_1(
     rhs = c**3 * rate ** (np.arange(t_max + 1) // cert.t0) * base
     rep.check_ge("tv-contraction-margin", float((rhs - tvs).min()), 0.0, tol=tol)
 
-    mods = np.sort(np.abs(np.linalg.eigvals(p)))[::-1]
-    second = float(mods[1]) if chain.n > 1 else 0.0
+    if spec.second_modulus is not None:  # the eigenvalues of Q^t0 are those of Q to the t0
+        second = spec.second_modulus**cert.t0
+    else:
+        second = float(np.sort(np.abs(np.linalg.eigvals(p)))[-2])
     rep.check_le(
         "second-eigenvalue-bound",
         second,
@@ -595,8 +600,11 @@ def check_condition_A_prime(
     P_{nu_{x,y}}(t < tau)/P_z(t < tau), floored by its spectral limit;
     A = min_x P_x(X_{2 t1} in K | survival).  The report then verifies,
     exhaustively over delta starts and t <= horizon, that conditioned TV
-    distances respect 2 (1 - c1' c2')^floor(t / 4 t1).
+    distances respect 2 (1 - c1' c2')^floor(t / 4 t1); horizon < 1 is a
+    ValueError, since t = 0 alone would pass trivially.
     """
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
     if not is_primitive(chain):
         raise PrimitivityError("condition (A') constants need a primitive chain")
     K = np.asarray(K, dtype=int)

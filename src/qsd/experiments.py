@@ -61,38 +61,31 @@ def _load_model(cfg: ExperimentConfig) -> DiffusionModel:
 def run_finite_verify(cfg: ExperimentConfig, out: str, seed: int):
     chain = _load_chain(cfg)
     t0 = cfg.get_int("params", "t0")
+    n_pairs = cfg.positive(cfg.get_int("params", "n_pairs", 10), "params", "n_pairs")
+    t_max = cfg.positive(cfg.get_int("params", "t_max", 50), "params", "t_max")
+    a_prime = cfg.get_bool("params", "a_prime", False)
+    if a_prime:
+        t1 = cfg.get_int("params", "t1", 1)
+        horizon = cfg.positive(cfg.get_int("params", "horizon", 100), "params", "horizon")
     cert = ch.fit_two_sided(chain, t0)
-    report = ch.verify_theorem_2_1(
-        chain,
-        cert,
-        n_pairs=cfg.positive(cfg.get_int("params", "n_pairs", 10), "params", "n_pairs"),
-        t_max=cfg.get_int("params", "t_max", 50),
-        seed=seed,
-    )
+    report = ch.verify_theorem_2_1(chain, cert, n_pairs=n_pairs, t_max=t_max, seed=seed)
     spec = ch.qsd_spectral(chain)
     # QSD fixed point and survival identity
-    d, surv = ch.evolve_conditioned(chain, spec.alpha, cfg.get_int("params", "t_max", 50))
+    d, surv = ch.evolve_conditioned(chain, spec.alpha, t_max)
     report.check_le(
         "qsd-fixed-point-tv",
         float(np.abs(d - spec.alpha).sum()),
         0.0,
         tol=1e-10,
     )
-    t_chk = cfg.get_int("params", "t_max", 50)
     report.check_le(
         "alpha-survival-identity",
-        abs(surv - spec.perron**t_chk) / spec.perron**t_chk,
+        abs(surv - spec.perron**t_max) / spec.perron**t_max,
         0.0,
         tol=1e-10,
     )
-    if cfg.get_bool("params", "a_prime", False):
-        t1 = cfg.get_int("params", "t1", 1)
-        res = ch.check_condition_A_prime(
-            chain,
-            np.arange(chain.n),
-            t1,
-            horizon=cfg.get_int("params", "horizon", 100),
-        )
+    if a_prime:
+        res = ch.check_condition_A_prime(chain, np.arange(chain.n), t1, horizon=horizon)
         report.extend(res.report, prefix="a-prime/")
     _write_csv(
         os.path.join(out, "certificate.csv"),
@@ -290,13 +283,12 @@ def run_decay_report(cfg: ExperimentConfig, out: str, seed: int):
         chain = _load_chain(cfg)
         t0 = cfg.get_int("params", "t0")
         n_pairs = cfg.positive(cfg.get_int("params", "n_pairs", 5), "params", "n_pairs")
+        t_max = cfg.positive(cfg.get_int("params", "t_max", 60), "params", "t_max")
         cert = ch.fit_two_sided(chain, t0)
         g = step_generator(seed, 77)
         pairs = g.exponential(size=(n_pairs, 2, chain.n))
         pairs /= pairs.sum(axis=2, keepdims=True)
-        report = certs.decay_report_chain(
-            chain, cert, pairs, cfg.get_int("params", "t_max", 60)
-        )
+        report = certs.decay_report_chain(chain, cert, pairs, t_max)
         return report, False
     model = _load_model(cfg)
     dt = cfg.positive(cfg.get_float("params", "dt"), "params", "dt")

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qsd import certificates
 from qsd.certificates import (
     ConditionACertificate,
     NoMinorizationError,
@@ -143,6 +144,46 @@ def test_decay_report_chain_rejects_empty_pairs():
     chain = FiniteAbsorbedChain(SYM2)
     with pytest.raises(ValueError):
         decay_report_chain(chain, fit_two_sided(chain, 1), [], 40)
+
+
+def test_decay_report_chain_rejects_zero_horizon():
+    # at t_max = 0 both margins see only t = 0, where they hold trivially
+    chain = FiniteAbsorbedChain(SYM2)
+    pairs = [(np.array([1.0, 0.0]), np.array([0.0, 1.0]))]
+    for t_max in (0, -1):
+        with pytest.raises(ValueError, match="t_max"):
+            decay_report_chain(chain, fit_two_sided(chain, 1), pairs, t_max)
+    assert decay_report_chain(chain, fit_two_sided(chain, 1), pairs, 1).passed
+
+
+def _reciprocal_tv(chain, laws, pairs, t_max):
+    """Conditioned TVs with each law scaled by its reciprocal mass instead of
+    divided by it: the same evolution, apart in the last bits."""
+    d = laws
+    tvs = np.empty((len(pairs), t_max + 1))
+    for t in range(t_max + 1):
+        tvs[:, t] = np.abs(d[pairs[:, 0]] - d[pairs[:, 1]]).sum(axis=1)
+        d = d @ chain.kernel
+        d *= 1.0 / d.sum(axis=1, keepdims=True)
+    return tvs
+
+
+def test_gamma_emp_ignores_last_bit_changes(monkeypatch):
+    # fitted on TVs far above the rounding floor, the empirical rate does not
+    # follow the last bits of the evolution
+    rng = np.random.default_rng(41)
+    for trial in range(10):
+        chain = FiniteAbsorbedChain(random_positive_chain(rng, 5, 0.9))
+        cert = fit_two_sided(chain, 1)
+        p = rng.exponential(size=(2, 2, 5))
+        pairs = p / p.sum(axis=2, keepdims=True)
+        gammas = []
+        for tv in (certificates._conditioned_tv, _reciprocal_tv):
+            monkeypatch.setattr(certificates, "_conditioned_tv", tv)
+            rep = decay_report_chain(chain, cert, pairs, 60)
+            assert rep.passed, f"trial {trial}:\n{rep.to_text()}"
+            gammas.append(next(c.measured for c in rep.checks if c.name == "gamma-emp"))
+        assert gammas[1] == pytest.approx(gammas[0], rel=1e-10, abs=0), f"trial {trial}"
 
 
 def test_decay_report_random_chains_rate_dominates():

@@ -329,6 +329,35 @@ def test_chain_kinds_reject_no_pairs(tmp_path, capsys, kind, n_pairs):
     assert "'n_pairs'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["finite-verify", "decay-report"])
+@pytest.mark.parametrize("t_max", [0, -1])
+def test_chain_kinds_reject_zero_horizon(tmp_path, capsys, kind, t_max):
+    # at t_max = 0 the TV checks see only t = 0 and pass trivially; at -1 numpy
+    # used to raise on an empty reduction
+    chain = write(tmp_path, "sym2.chain", SYM2_TEXT)
+    cfg = write(
+        tmp_path,
+        "tm.cfg",
+        f"[experiment]\nkind = {kind}\nseed = 5\n\n[model]\nchain = {chain}\n\n"
+        f"[params]\nt0 = 1\nt_max = {t_max}\nn_pairs = 2\n",
+    )
+    assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "'t_max'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("horizon", [0, -1])
+def test_finite_verify_rejects_zero_a_prime_horizon(tmp_path, capsys, horizon):
+    chain = write(tmp_path, "sym2.chain", SYM2_TEXT)
+    cfg = write(
+        tmp_path,
+        "hz.cfg",
+        f"[experiment]\nkind = finite-verify\nseed = 5\n\n[model]\nchain = {chain}\n\n"
+        f"[params]\nt0 = 1\nt_max = 20\na_prime = true\nhorizon = {horizon}\n",
+    )
+    assert main(["finite-verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "'horizon'" in capsys.readouterr().err
+
+
 def test_scale1d_cli(tmp_path):
     cfg = write(
         tmp_path,

@@ -114,3 +114,12 @@ def test_disjoint_supports_empty_overlap():
     chain = FiniteAbsorbedChain(q)
     with pytest.raises(EmptyOverlapError):
         build_nu_xy(chain, np.array([0, 1]), 1, 0, 1)
+
+
+def test_zero_horizon_is_an_error():
+    # at horizon 0 only t = 0 is checked, where 2 >= TV holds trivially
+    chain = FiniteAbsorbedChain(SYM2)
+    for horizon in (0, -1):
+        with pytest.raises(ValueError, match="horizon"):
+            check_condition_A_prime(chain, np.arange(2), 1, horizon=horizon)
+    assert check_condition_A_prime(chain, np.arange(2), 1, horizon=1).report.passed

@@ -98,3 +98,37 @@ def test_no_pairs_is_an_error():
     for n_pairs in (0, -3):
         with pytest.raises(ValueError):
             verify_theorem_2_1(chain, cert, n_pairs=n_pairs)
+
+
+def test_zero_horizon_is_an_error():
+    # at t_max = 0 only t = 0 is checked, where the contraction bound holds trivially
+    chain = FiniteAbsorbedChain(SYM2)
+    cert = fit_two_sided(chain, 1)
+    for t_max in (0, -1):
+        with pytest.raises(ValueError, match="t_max"):
+            verify_theorem_2_1(chain, cert, t_max=t_max)
+    assert verify_theorem_2_1(chain, cert, t_max=1).passed
+
+
+def _band(n: int) -> np.ndarray:
+    """Lazy random walk killed at both ends: Q^t has zeros below t = n - 1."""
+    return 0.99 * (0.5 * np.eye(n) + 0.25 * (np.eye(n, k=1) + np.eye(n, k=-1)))
+
+
+@pytest.mark.parametrize(
+    "q, t0",
+    [
+        (random_positive_chain(np.random.default_rng(5), 5, 0.9), 1),
+        (random_positive_chain(np.random.default_rng(5), 5, 0.9), 3),
+        (random_positive_chain(np.random.default_rng(20), 20, 0.9), 2),
+        (_band(40), 40),
+        (_band(160), 160),
+    ],
+)
+def test_second_eigenvalue_of_the_power_comes_from_the_spectrum(q, t0):
+    chain = FiniteAbsorbedChain(q)
+    rep = verify_theorem_2_1(chain, fit_two_sided(chain, t0), n_pairs=2, t_max=t0 + 1)
+    assert rep.passed, rep.to_text()
+    second = next(c.measured for c in rep.checks if c.name == "second-eigenvalue-bound")
+    mods = np.sort(np.abs(np.linalg.eigvals(np.linalg.matrix_power(q, t0))))
+    assert second == pytest.approx(mods[-2], rel=1e-12, abs=0)
