@@ -3,6 +3,9 @@
 Everything here is computed by a route disjoint from the package code:
 finite-difference Dirichlet eigenproblems, Gaussian image series,
 adaptive quadrature, dense eigensolvers and brute-force enumerations.
+Two finite-chain loops are the exception: the batched survival-ratio and
+conditioned-TV loops the package ran before it cached the survival
+sequence and stepped in blocks, kept as bit-for-bit references.
 The Monte-Carlo kernels at the end are the plain forms of the package's
 step, rebirth and binning code: the crossing probability on every path,
 one donor draw per dead particle, and one `searchsorted` per axis.  The
