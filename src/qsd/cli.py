@@ -16,7 +16,7 @@ import os
 import sys
 
 from .certificates import FailedA2Error, NoMinorizationError
-from .chains import ChainFormatError
+from .chains import ChainFormatError, EmptyOverlapError, NoCertificateError
 from .config import ConfigError, ExperimentConfig
 from .experiments import RUNNERS
 from .particles import ExtinctionError
@@ -63,7 +63,14 @@ def main(argv=None) -> int:
     except (ConfigError, ChainFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ZeroSurvivorError, NoMinorizationError, FailedA2Error, ExtinctionError) as exc:
+    except (
+        ZeroSurvivorError,
+        NoMinorizationError,
+        FailedA2Error,
+        ExtinctionError,
+        NoCertificateError,
+        EmptyOverlapError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,7 +8,9 @@ of the boundary face nearest to x and returns `diffusion.normal_sigma2(x,
 nu, s)` = |s(x)^T nu|^2, so the sign of nu does not enter; `s` is the field
 at x if the caller has it.  On a box nu is e_k for the first axis k of
 least face gap, so a tie goes to the lower axis; at the centre of a ball nu
-is the first axis.
+is the first axis.  `sigma2_bound(rho, diffusion, s)`, with rho =
+rho_boundary(x), is `diffusion.sigma2_bound(s)` (see `models`), or infinity
+when a row lies within 2**-511 of a ball's centre.
 """
 
 from __future__ import annotations
@@ -68,6 +70,9 @@ class Interval:
         p = _as_points(x, 1)
         return diffusion.normal_sigma2(p, np.ones_like(p), s)
 
+    def sigma2_bound(self, rho, diffusion, s):
+        return diffusion.sigma2_bound(s)
+
     def boundary_points(self) -> np.ndarray:
         return np.array([[self.lo], [self.hi]])
 
@@ -122,6 +127,9 @@ class Box:
             least = np.minimum(least, gap)
         return diffusion.normal_sigma2(p, self._eye.take(k, axis=0), s)
 
+    def sigma2_bound(self, rho, diffusion, s):
+        return diffusion.sigma2_bound(s)
+
     def boundary_points(self) -> np.ndarray:
         # face centers
         mid = 0.5 * (np.asarray(self.lo) + np.asarray(self.hi))
@@ -160,6 +168,7 @@ class Ball:
             raise ValueError("radius must be positive")
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "_c", np.array(c))
+        object.__setattr__(self, "_edge", self.radius - 2.0**-511)
 
     @property
     def dim(self) -> int:
@@ -183,6 +192,11 @@ class Ball:
         if centre.any():
             v[centre], r[centre] = np.eye(self.dim)[0], 1.0
         return diffusion.normal_sigma2(p, v / r[:, None], s)
+
+    def sigma2_bound(self, rho, diffusion, s):
+        # the field's bound needs |v|^2 >= 2**-1022; below it r = |v| <= 2**-511
+        # and rho = fl(radius - r) >= fl(radius - 2**-511) = _edge
+        return np.inf if (rho >= self._edge).any() else diffusion.sigma2_bound(s)
 
     def boundary_points(self) -> np.ndarray:
         c = np.asarray(self.center)

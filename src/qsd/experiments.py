@@ -60,12 +60,12 @@ def _load_model(cfg: ExperimentConfig) -> DiffusionModel:
 
 def run_finite_verify(cfg: ExperimentConfig, out: str, seed: int):
     chain = _load_chain(cfg)
-    t0 = cfg.get_int("params", "t0")
+    t0 = cfg.positive(cfg.get_int("params", "t0"), "params", "t0")
     n_pairs = cfg.positive(cfg.get_int("params", "n_pairs", 10), "params", "n_pairs")
     t_max = cfg.positive(cfg.get_int("params", "t_max", 50), "params", "t_max")
     a_prime = cfg.get_bool("params", "a_prime", False)
     if a_prime:
-        t1 = cfg.get_int("params", "t1", 1)
+        t1 = cfg.positive(cfg.get_int("params", "t1", 1), "params", "t1")
         horizon = cfg.positive(cfg.get_int("params", "horizon", 100), "params", "horizon")
     cert = ch.fit_two_sided(chain, t0)
     report = ch.verify_theorem_2_1(chain, cert, n_pairs=n_pairs, t_max=t_max, seed=seed)
@@ -102,7 +102,7 @@ def run_finite_verify(cfg: ExperimentConfig, out: str, seed: int):
 
 def run_two_sided_fit(cfg: ExperimentConfig, out: str, seed: int):
     chain = _load_chain(cfg)
-    t0 = cfg.get_int("params", "t0")
+    t0 = cfg.positive(cfg.get_int("params", "t0"), "params", "t0")
     cert = ch.fit_two_sided(chain, t0)
     p = chain.power(t0)
     lo, hi = cert.kernel_bounds()
@@ -281,7 +281,7 @@ def run_scale1d(cfg: ExperimentConfig, out: str, seed: int):
 def run_decay_report(cfg: ExperimentConfig, out: str, seed: int):
     if cfg.get_str("model", "chain", None) is not None:
         chain = _load_chain(cfg)
-        t0 = cfg.get_int("params", "t0")
+        t0 = cfg.positive(cfg.get_int("params", "t0"), "params", "t0")
         n_pairs = cfg.positive(cfg.get_int("params", "n_pairs", 5), "params", "n_pairs")
         t_max = cfg.positive(cfg.get_int("params", "t_max", 60), "params", "t_max")
         cert = ch.fit_two_sided(chain, t0)

@@ -7,6 +7,8 @@ All Green-formula integrals are evaluated in closed form; Monte-Carlo
 routines exist only to confront the closed forms and the escape bounds.
 The u's of an escape check are stepped together, each drawing from its own
 (seed, step) block in its own slot order, so stacking changes no variate.
+The exit loop evaluates its two bridge-crossing probabilities only on the
+paths near a barrier, where they can fire (see `_exit_mc`).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .report import VerificationReport
 from .rng import _loop_generator, step_generator
-from .simulate import _alive_rows, _stacks, _variates
+from .simulate import _BAND, _alive_rows, _stacks, _variates
 
 _A_TINY = 1e-12
 
@@ -147,7 +149,14 @@ def natural_scale_exit_mc(
 def _exit_mc(a, us, hi, horizon, n, seeds, *, dt):
     """(state, exit_time) of `natural_scale_exit_mc` from every start us[k]
     on seeds[k]; the stacks of `simulate._stacks` share one array of live
-    paths, compacted after every step with each start's paths kept in order."""
+    paths, compacted after every step with each start's paths kept in order.
+
+    The crossing probabilities p_hi and p_lo are only evaluated in the band
+    where a gap product, (hi - x)(hi - x') or x x', is below _BAND times the
+    step variance, and on paths whose uniform is exactly 0.  Elsewhere both
+    are at most exp(-2 _BAND), their sum is below 2**-53 and so below every
+    nonzero uniform (a multiple of 2**-53), and `new >= hi` / `new <= 0`
+    settle the path as evaluating them would: bit for bit."""
     n_steps, sqdt, out = int(np.ceil(horizon / dt - 1e-9)), np.sqrt(dt), []
     for run in _stacks([n] * len(us)):
         pos = np.repeat([float(us[k]) for k in run], n)
@@ -162,10 +171,16 @@ def _exit_mc(a, us, hi, horizon, n, seeds, *, dt):
             sig = 1.0 + 2.0 * a * pos
             new = pos + sig * sqdt * z[:, 0]
             var = sig * sig * dt
-            p_hi = np.exp(-2.0 * np.maximum(hi - pos, 0) * np.maximum(hi - new, 0) / var)
-            p_lo = np.exp(-2.0 * np.maximum(pos, 0) * np.maximum(new, 0) / var)
-            hit_hi = (new >= hi) | (un < p_hi)
-            hit_lo = (new <= 0) | (~hit_hi & (un >= p_hi) & (un < p_hi + p_lo))
+            gap_hi, gap_lo, edge = np.maximum(hi - new, 0), np.maximum(new, 0), _BAND * var
+            band = np.flatnonzero(((hi - pos) * gap_hi < edge) | (pos * gap_lo < edge) | (un == 0))
+            hit_hi, hit_lo = new >= hi, new <= 0
+            if band.size:
+                p0, ub, vb = pos[band], un[band], var[band]
+                p_hi = np.exp(-2.0 * np.maximum(hi - p0, 0) * gap_hi[band] / vb)
+                p_lo = np.exp(-2.0 * np.maximum(p0, 0) * gap_lo[band] / vb)
+                fire = hit_hi[band] | (ub < p_hi)
+                hit_lo[band] |= ~fire & (ub >= p_hi) & (ub < p_hi + p_lo)
+                hit_hi[band] = fire
             state[path[hit_hi]] = 1
             state[path[hit_lo]] = 2
             keep = ~(hit_hi | hit_lo)

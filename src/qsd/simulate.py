@@ -7,7 +7,11 @@ one-dimensional Brownian-bridge boundary-crossing probability applied to
 the boundary-distance process, with sigma_n^2 the diffusion coefficient in
 the boundary-normal direction at the step start.  Discrete-exit absorption
 alone is biased low (paths can cross and return between samples); the
-correction is switchable for bias studies.
+correction is switchable for bias studies.  Off a thin band near the
+boundary the probability is below every nonzero uniform, so the step builds
+the normal, sigma_n^2 and the probability only in that band, sized by a
+bound of sigma_n^2 from the field, and on paths whose uniform is 0 (see
+`_step`).
 
 The estimators here and in `particles` advance their paths through one
 kernel, `_step`, whose noise `_variates` draws from a per-(seed, step)
@@ -139,11 +143,14 @@ def _step(model, x, noise, dt, bridge, rho):
     `alive` and `rho_new` = rho_boundary(x_new) have shape (k,); non-finite
     rows of x_new are never alive.
 
-    p is only evaluated in the band rho(x) rho(x_new) < _BAND sigma_n^2 dt,
-    with sigma_n^2 each path's own normal variance, and on paths whose
-    uniform is exactly 0.  The uniforms of `Generator.random` are multiples
-    of 2**-53, so elsewhere u >= 2**-53 > p and u < p cannot hold: the alive
-    mask is bit for bit the one of evaluating p on every path.
+    The normal, sigma_n^2 and p are only evaluated on the alive paths in
+    the band rho(x) rho(x_new) < _BAND b dt, where b = `model.sigma2_bound`
+    bounds every path's sigma_n^2, and on paths whose uniform is exactly 0;
+    with no such path none of them is.  The uniforms of `Generator.random`
+    are multiples of 2**-53, so out of the band u >= 2**-53 > p and u < p
+    cannot hold: the alive mask is bit for bit the one of evaluating p on
+    every path.  For the constant field b = sigma_n^2, so these rows are
+    exactly the band of sigma_n^2 itself.
     """
     z, u = noise
     s = model.diffusion.at(x)
@@ -151,13 +158,15 @@ def _step(model, x, noise, dt, bridge, rho):
     rho1 = model.domain.rho_boundary(x_new)
     alive = rho1 > 0
     if bridge:
-        sig2 = model.normal_sigma2(x, s)
-        band = np.flatnonzero(alive & ((rho * rho1 < sig2 * (_BAND * dt)) | (u == 0)))
-        r0, r1, s2 = rho[band], rho1[band], sig2[band]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            p_cross = np.exp(-2.0 * r0 * r1 / (s2 * dt))
-        p_cross = np.where(s2 > 0, p_cross, 0.0)
-        alive[band[u[band] < p_cross]] = False
+        near = rho * rho1 < model.sigma2_bound(rho, s) * (_BAND * dt)
+        if not u.all():
+            near |= u == 0
+        band = np.flatnonzero(near & alive)
+        if band.size:
+            s2 = model.normal_sigma2(x.take(band, 0), s if np.ndim(s) == 0 else s.take(band, 0))
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                p_cross = np.exp(-2.0 * rho.take(band) * rho1.take(band) / (s2 * dt))
+            alive[band[u.take(band) < p_cross]] = False  # s2 = 0 or NaN gives p = 0 or NaN: no kill
     return x_new, alive, rho1
 
 

@@ -358,6 +358,54 @@ def test_finite_verify_rejects_zero_a_prime_horizon(tmp_path, capsys, horizon):
     assert "'horizon'" in capsys.readouterr().err
 
 
+# a 5-cycle with one chord: primitive, but Q^t has zero entries up to t = 16,
+# and at t1 = 1 the (A') overlap of the pair (0, 1) is empty
+CYCLE5_TEXT = "5\n0 0.9 0 0 0\n0 0 0.9 0 0\n0 0 0 0.9 0\n0 0 0 0 0.9\n0.45 0.45 0 0 0\n"
+
+
+def chain_kind_cfg(tmp_path, kind, chain_text, params):
+    chain = write(tmp_path, "c.chain", chain_text)
+    return write(
+        tmp_path,
+        "c.cfg",
+        f"[experiment]\nkind = {kind}\nseed = 5\n\n[model]\nchain = {chain}\n\n[params]\n{params}",
+    )
+
+
+@pytest.mark.parametrize("kind", ["finite-verify", "two-sided-fit", "decay-report"])
+@pytest.mark.parametrize("t0", [0, -1])
+def test_chain_kinds_reject_nonpositive_t0(tmp_path, capsys, kind, t0):
+    cfg = chain_kind_cfg(tmp_path, kind, SYM2_TEXT, f"t0 = {t0}\nt_max = 20\nn_pairs = 2\n")
+    assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "'t0'" in err and "must be positive" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("t1", [0, -1])
+def test_finite_verify_rejects_nonpositive_a_prime_t1(tmp_path, capsys, t1):
+    cfg = chain_kind_cfg(tmp_path, "finite-verify", SYM2_TEXT, f"t0 = 1\nt_max = 20\na_prime = true\nt1 = {t1}\n")
+    assert main(["finite-verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "'t1'" in err and "must be positive" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", ["finite-verify", "two-sided-fit", "decay-report"])
+def test_zero_entry_in_q_t0_is_a_one_line_error(tmp_path, capsys, kind):
+    cfg = chain_kind_cfg(tmp_path, kind, CYCLE5_TEXT, "t0 = 1\nt_max = 20\nn_pairs = 2\n")
+    assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Q^1 has zero entries") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_empty_a_prime_overlap_is_a_one_line_error(tmp_path, capsys):
+    cfg = chain_kind_cfg(
+        tmp_path, "finite-verify", CYCLE5_TEXT, "t0 = 17\nt_max = 20\nn_pairs = 2\na_prime = true\nt1 = 1\n"
+    )
+    assert main(["finite-verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: nu_(0,1) has zero mass\n"
+
+
 def test_scale1d_cli(tmp_path):
     cfg = write(
         tmp_path,
