@@ -8,9 +8,11 @@ script) and `diff` the two outputs: equal lines mean bit-for-bit equal
 outputs.  It covers every Monte-Carlo estimator on an interval, a 2-d box,
 a disc and a 3-d box (constant and Hoelder diagonal fields), with the
 bridge correction on and off where the estimator takes it; the
-natural-scale exit loop; and the bundled configs of `configs/` and
-`perfbench/configs/` run through the CLI (every file written, the captured
-standard output and the exit status).  An estimator that raises is
+natural-scale exit loop; many uneven batches admitted while others step
+(a small coordinate cap set inside the script) on a 2-d box, a 3-d ball
+and `MatrixField` models, and five exit-loop starts; and the bundled
+configs of `configs/` and `perfbench/configs/` run through the CLI (every
+file written, the captured standard output and the exit status).  An estimator that raises is
 digested as its exception.  `--small` shrinks the path counts and horizons
 and runs only the two fast bundled configs, for a smoke run of a few
 seconds.
@@ -40,9 +42,9 @@ from qsd import certificates as certs  # noqa: E402
 from qsd import particles, scale1d, simulate  # noqa: E402
 from qsd.cli import main as qsd_main  # noqa: E402
 from qsd.config import ExperimentConfig  # noqa: E402
-from qsd.domains import BallTarget, InnerCompact  # noqa: E402
+from qsd.domains import Ball, BallTarget, InnerCompact  # noqa: E402
 from qsd.measures import Measure  # noqa: E402
-from qsd.models import build_model  # noqa: E402
+from qsd.models import DiffusionModel, MatrixField, ZeroDrift, build_model  # noqa: E402
 
 MODELS = {
     "interval": ("interval 0 3.141592653589793", "zero", "constant 1.0"),
@@ -159,6 +161,53 @@ def estimator_cases(small: bool):
     ]
 
 
+def _tilted(x):
+    """A full (n, d, d) field for `MatrixField`: 0.7 I plus a smooth rank-one tilt."""
+    return 0.7 * np.eye(x.shape[1]) + 0.15 * np.sin(x)[:, :, None] * np.cos(x)[:, None, :]
+
+
+def _small_stack(fn, stack):
+    """`fn` run with the loops' coordinate cap set to `stack`, so later batches
+    are admitted while earlier ones still step."""
+
+    def run():
+        old, simulate._STACK = simulate._STACK, stack
+        try:
+            return fn()
+        finally:
+            simulate._STACK = old
+
+    return run
+
+
+def admission_cases(small: bool):
+    """(name, call) for the shared stepping loops with many uneven batches
+    admitted mid-run, and for a `MatrixField` model stepped by them."""
+    (n, t), dt = (120, 0.1) if small else (400, 0.3), 2e-3
+    box3 = build_model("box 0 0 0 1 1.5 2", "linear -0.5 0.5 0.7 1", "diagonal_holder 0.8 0.4 0.5 0.2 0.9 1.3")
+    tilted = MatrixField(_tilted)
+    cases = []
+    for mname, m in (
+        ("box", build_model(*MODELS["box"])),
+        ("ball3", build_model("ball 0 0 0 1", "linear -0.5 0 0 0", "diagonal_holder 0.7 0.2 0.5 0 0 0")),
+        ("box3-matrix", DiffusionModel(box3.domain, box3.drift, tilted, 0.2, 1.5, box3.drift_bound)),
+        ("disc-matrix", DiffusionModel(Ball((0.0, 0.0), 1.0), ZeroDrift(), tilted, 0.2, 1.5, 0.0)),
+    ):
+        starts = _starts(m, np.random.default_rng(sum(map(ord, mname))), 10)
+        sizes = [(n * (k % 4 + 1)) // 2 + 7 * k for k in range(len(starts))]  # uneven, boundary starts last
+        clouds = [np.tile(x, (k, 1)) for x, k in zip(starts, sizes)]
+        seeds = [40 + k for k in range(len(clouds))]
+        for bridge in (True, False):
+            run = partial(simulate._snapshots, m, clouds, [0.0, t / 3, t], dt, seeds, bridge=bridge, keep_positions=[t / 3, t])
+            cases.append((f"admission/{mname}/bridge={int(bridge)}/_snapshots", _small_stack(run, 3 * n * m.dim)))
+        if mname.endswith("matrix"):
+            cases.append((f"admission/{mname}/fleming_viot_run", partial(particles.fleming_viot_run, m, n, t, [3] * m.dim, 50, dt=dt)))
+    hz = 0.05 if small else 0.3
+    us = [0.01, 0.49, 0.125, 0.02, 0.25]
+    run = partial(scale1d._exit_mc, 0.5, us, 0.5, hz, 2 * n, range(51, 56), dt=2e-4)
+    return cases + [("admission/scale1d/_exit_mc", _small_stack(run, 5 * n))]
+
+
 def _run_cli(cfg: str):
     """Exit status, captured output and every file written, for one config
     run from the repository root into a fresh directory."""
@@ -187,7 +236,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--small", action="store_true", help="small sizes and the bundled configs only")
     args = parser.parse_args(argv)
-    for name, fn in estimator_cases(args.small) + cli_cases(args.small):
+    for name, fn in estimator_cases(args.small) + admission_cases(args.small) + cli_cases(args.small):
         print(f"{digest(fn)}  {name}", flush=True)
     return 0
 

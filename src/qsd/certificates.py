@@ -32,7 +32,7 @@ from .simulate import (
     _snapshots,
     hitting_before,
     split_survival_profile,
-    survival_snapshots,
+    survival_snapshots,  # noqa: F401  (importable from here, as before)
     tube_probability,
 )
 
@@ -158,7 +158,7 @@ def _grid_survival(model, pts, times, n, seed, ids, *, dt, window=0.0):
 
     `window` > 0 runs the windowed-splitting estimator on `seed` (common
     random numbers across points); otherwise point k runs its own batch of
-    n paths on `substream(seed, *ids, k)`, the batches stepped together.
+    n paths on `substream(seed, *ids, k)`, the batches sharing one loop.
     """
     if window > 0:
         logp, logse = split_survival_profile(model, pts, times, n, seed, dt=dt, window=window)
@@ -224,12 +224,14 @@ def estimate_A2(
         cloud = cloud[inside]
         if cloud.shape[0] < max(100, n // 2):
             raise FailedA2Error("minorizing measure puts too much mass outside the domain")
-    res_nu = survival_snapshots(model, cloud, times, dt, substream(seed, 30))
+    clouds = [cloud] + [np.tile(x, (n, 1)) for x in np.atleast_2d(points)]
+    seeds = [substream(seed, 30)] + [substream(seed, 31, k) for k in range(len(clouds) - 1)]
+    res_nu, *res_z = _snapshots(model, clouds, times, dt, seeds)
     p_nu = res_nu.survival()
     se_nu = res_nu.standard_errors()
     if (p_nu <= 0).any():
         raise FailedA2Error("zero survival from the minorizing measure on the grid")
-    p_z, se_z = _grid_survival(model, np.atleast_2d(points), times, n, seed, (31,), dt=dt)
+    p_z, se_z = np.array([r.survival() for r in res_z]), np.array([r.standard_errors() for r in res_z])
     worst = p_z.max(axis=0)
     kmax = p_z.argmax(axis=0)
     worst_hi = np.minimum(worst + z_ci * se_z[kmax, np.arange(times.size)], 1.0)

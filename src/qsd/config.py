@@ -105,3 +105,8 @@ class ExperimentConfig:
                 f"{self.path}: field {key!r} in [{section}] must be positive, got {value}"
             )
         return value
+
+    def at_least(self, value: float, least: float, section: str, key: str) -> float:
+        if value < least:
+            raise ConfigError(f"{self.path}: field {key!r} in [{section}] must be at least {least}, got {value}")
+        return value

@@ -125,10 +125,10 @@ def run_two_sided_fit(cfg: ExperimentConfig, out: str, seed: int):
 def run_simulate(cfg: ExperimentConfig, out: str, seed: int):
     model = _load_model(cfg)
     dt = cfg.positive(cfg.get_float("params", "dt"), "params", "dt")
-    horizon = cfg.positive(cfg.get_float("params", "horizon"), "params", "horizon")
-    n = cfg.get_int("params", "n", 10000)
+    horizon = cfg.at_least(cfg.get_float("params", "horizon"), dt, "params", "horizon")  # one step at least
+    n = cfg.positive(cfg.get_int("params", "n", 10000), "params", "n")
     x0 = cfg.get_floats("params", "x0")
-    n_times = cfg.get_int("params", "snapshots", 10)
+    n_times = cfg.positive(cfg.get_int("params", "snapshots", 10), "params", "snapshots")
     bridge = cfg.get_bool("params", "bridge", True)
     times = np.linspace(horizon / n_times, horizon, n_times)
     starts = np.tile(np.asarray(x0), (n, 1))
@@ -156,8 +156,8 @@ def run_fleming_viot(cfg: ExperimentConfig, out: str, seed: int):
     model = _load_model(cfg)
     dt = cfg.positive(cfg.get_float("params", "dt"), "params", "dt")
     horizon = cfg.positive(cfg.get_float("params", "horizon"), "params", "horizon")
-    n = cfg.get_int("params", "n")
-    bins = cfg.get_int("params", "bins", 64)
+    n = cfg.at_least(cfg.get_int("params", "n"), 2, "params", "n")
+    bins = cfg.positive(cfg.get_int("params", "bins", 64), "params", "bins")
     burn_in = cfg.get_float("params", "burn_in", horizon / 2)
     res = fleming_viot_run(
         model, n, horizon, bins, substream(seed, 3), dt=dt, burn_in=burn_in
@@ -181,8 +181,8 @@ def run_fleming_viot(cfg: ExperimentConfig, out: str, seed: int):
 def run_certify_A(cfg: ExperimentConfig, out: str, seed: int):
     model = _load_model(cfg)
     dt = cfg.positive(cfg.get_float("params", "dt"), "params", "dt")
-    bins = cfg.get_int("params", "bins", 32)
-    budget = cfg.get_int("params", "n", 20000)
+    bins = cfg.positive(cfg.get_int("params", "bins", 32), "params", "bins")
+    budget = cfg.at_least(cfg.get_int("params", "n", 20000), 100, "params", "n")
     times = cfg.get_floats("params", "times")
     t0s = cfg.get_floats("params", "t0_candidates")
     grid = certs.default_probe_grid(model, times, budget, seed=substream(seed, 4))
@@ -209,7 +209,7 @@ def run_gradient(cfg: ExperimentConfig, out: str, seed: int):
     times = cfg.get_floats("params", "times")
     dts = cfg.get_floats("params", "dts")
     windows = cfg.get_floats("params", "windows", [0.0] * len(times))
-    n = cfg.get_int("params", "n", 20000)
+    n = cfg.positive(cfg.get_int("params", "n", 20000), "params", "n")
     points = np.asarray(cfg.get_floats("params", "points")).reshape(-1, model.dim)
     prof = certs.gradient_profile(
         model,
@@ -239,7 +239,7 @@ def run_boundary_return(cfg: ExperimentConfig, out: str, seed: int):
     # diffusive crossing time of that collar
     eps = cfg.get_float("params", "eps", model.domain.inradius / 4.0)
     t1 = cfg.get_float("params", "t1", eps**2 / model.sigma_max2)
-    n = cfg.get_int("params", "n", 100000)
+    n = cfg.at_least(cfg.get_int("params", "n", 100000), 100, "params", "n")
     points = np.asarray(cfg.get_floats("params", "points")).reshape(-1, model.dim)
     res = certs.boundary_return_constant(
         model, InnerCompact(model.domain, eps), t1, points, n, substream(seed, 7), dt=dt
@@ -260,7 +260,7 @@ def run_scale1d(cfg: ExperimentConfig, out: str, seed: int):
         if eps0 is None:
             raise ConfigError(f"{cfg.path}: missing required field 'eps0' (or 'eps1') in [params]")
         eps1 = float(scale1d.scale_function(a, eps0))
-    n = cfg.get_int("params", "n", 20000)
+    n = cfg.positive(cfg.get_int("params", "n", 20000), "params", "n")
     dt = cfg.positive(cfg.get_float("params", "dt", 1e-4), "params", "dt")
     u_grid = cfg.get_floats("params", "u_grid", [eps1 / 8, eps1 / 4, 3 * eps1 / 8])
     report = scale1d.escape_bounds_check(a, eps1, u_grid, n, substream(seed, 8), dt=dt)
@@ -295,8 +295,8 @@ def run_decay_report(cfg: ExperimentConfig, out: str, seed: int):
     times = cfg.get_floats("params", "times")
     x = cfg.get_floats("params", "x")
     y = cfg.get_floats("params", "y")
-    n = cfg.get_int("params", "n", 100000)
-    bins = cfg.get_int("params", "bins", 16)
+    n = cfg.at_least(cfg.get_int("params", "n", 100000), 100, "params", "n")
+    bins = cfg.positive(cfg.get_int("params", "bins", 16), "params", "bins")
     # nu itself is not used by the decay checks, only (t0, c1, c2); carry a
     # uniform placeholder so the certificate type stays valid
     grid = certs.domain_grid(model, bins)

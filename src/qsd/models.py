@@ -109,18 +109,18 @@ class DiagonalHolder:
 
 @dataclass(frozen=True)
 class MatrixField:
-    """General square s: (n, d) -> (n, d, d)."""
+    """General square s: (n, d) -> (n, d, d), fed row-major: einsum's rounding depends on the layout."""
 
     fn: Callable[[np.ndarray], np.ndarray]
 
     def at(self, x: np.ndarray) -> np.ndarray:
-        return self.fn(x)
+        return self.fn(np.ascontiguousarray(x))
 
     def apply(self, x: np.ndarray, z: np.ndarray, s=None) -> np.ndarray:
-        return np.einsum("nij,nj->ni", self.fn(x) if s is None else s, z)
+        return np.einsum("nij,nj->ni", self.at(x) if s is None else s, np.ascontiguousarray(z))
 
     def normal_sigma2(self, x: np.ndarray, nu: np.ndarray, s=None) -> np.ndarray:
-        return (np.einsum("nij,ni->nj", self.fn(x) if s is None else s, nu) ** 2).sum(axis=1)
+        return (np.einsum("nij,ni->nj", self.at(x) if s is None else s, np.ascontiguousarray(nu)) ** 2).sum(axis=1)
 
     def sigma2_bound(self, s):
         return _margined(np.fmax.reduce(np.einsum("nij,nij->n", s, s), initial=0.0))
@@ -149,7 +149,7 @@ class ConstantDrift:
     value: tuple[float, ...]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(np.asarray(self.value, dtype=float), x.shape)
+        return np.full_like(x, self.value)  # in the layout of x, which a broadcast view would not pass on
 
     def bound_on(self, pts: np.ndarray) -> float:
         return float(np.linalg.norm(self.value))

@@ -10,7 +10,7 @@ from .domains import DomainError
 from .measures import BinGrid, Measure, histogram_from_samples
 from .models import DiffusionModel
 from .rng import _loop_generator, step_generator, stream_generator
-from .simulate import ZeroSurvivorError, _snapshots, _start_cloud, _step, _variates
+from .simulate import ZeroSurvivorError, _columns, _snapshots, _start_cloud, _step, _variates
 from .simulate import survival_snapshots  # noqa: F401  (importable from here, as before)
 
 
@@ -173,7 +173,7 @@ def fleming_viot_run(
     occ = np.zeros(grid.size)
     rebirth_count = np.zeros(n_steps, dtype=np.int64)
     total = 0
-    rho, own = model.domain.rho_boundary(pos), _loop_generator()
+    pos, rho, own = _columns(pos), model.domain.rho_boundary(pos), _loop_generator()
     for step in range(n_steps):
         g = step_generator(seed, step, own)  # also draws the rebirth donors
         pos, alive, rho = _step(model, pos, _variates(model.dim, [(g, n)]), dt, bridge, rho)

@@ -15,9 +15,9 @@ independent probes never share a stream.
 A stepping loop owns one generator per batch, held by no other code, and
 re-keys it for each step to the state of a fresh `Philox(key=(seed, step))`:
 that skips the OS-entropy seeding a new Philox does before its key
-overwrites it.  Batches stepped together in one array each draw from their
-own (seed, step) block in their own slot order, so stacking changes no
-variate.
+overwrites it.  Batches that share a stepping loop each keep their own step
+and draw from their own (seed, step) block in their own slot order, so
+sharing changes no variate.  Normals are drawn row-major, held column-major.
 """
 
 from __future__ import annotations

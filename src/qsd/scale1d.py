@@ -5,8 +5,8 @@ rate a; its scale function f(x) = (e^{2ax} - 1)/(2a) turns it into a
 martingale N with dN = (1 + 2 a N) dW and speed density (1 + 2av)^{-2}.
 All Green-formula integrals are evaluated in closed form; Monte-Carlo
 routines exist only to confront the closed forms and the escape bounds.
-The u's of an escape check are stepped together, each drawing from its own
-(seed, step) block in its own slot order, so stacking changes no variate.
+The u's of an escape check share one loop, each at its own step and on its
+own (seed, step) block in its own slot order, so sharing changes no variate.
 The exit loop evaluates its two bridge-crossing probabilities only on the
 paths near a barrier, where they can fire (see `_exit_mc`).
 """
@@ -19,7 +19,7 @@ import numpy as np
 
 from .report import VerificationReport
 from .rng import _loop_generator, step_generator
-from .simulate import _BAND, _alive_rows, _stacks, _variates
+from .simulate import _BAND, _admitted, _alive_rows, _variates
 
 _A_TINY = 1e-12
 
@@ -148,8 +148,9 @@ def natural_scale_exit_mc(
 
 def _exit_mc(a, us, hi, horizon, n, seeds, *, dt):
     """(state, exit_time) of `natural_scale_exit_mc` from every start us[k]
-    on seeds[k]; the stacks of `simulate._stacks` share one array of live
-    paths, compacted after every step with each start's paths kept in order.
+    on seeds[k], in one array of live paths compacted after every step with
+    each start's paths in order.  Starts are admitted and retired as in
+    `simulate._snapshots`, each with its own step: a path's exit time.
 
     The crossing probabilities p_hi and p_lo are only evaluated in the band
     where a gap product, (hi - x)(hi - x') or x x', is below _BAND times the
@@ -157,39 +158,46 @@ def _exit_mc(a, us, hi, horizon, n, seeds, *, dt):
     are at most exp(-2 _BAND), their sum is below 2**-53 and so below every
     nonzero uniform (a multiple of 2**-53), and `new >= hi` / `new <= 0`
     settle the path as evaluating them would: bit for bit."""
-    n_steps, sqdt, out = int(np.ceil(horizon / dt - 1e-9)), np.sqrt(dt), []
-    for run in _stacks([n] * len(us)):
-        pos = np.repeat([float(us[k]) for k in run], n)
-        path = np.arange(pos.size)  # row of each live path in state and exit_time
-        state, exit_time = np.zeros(pos.size, dtype=np.int8), np.full(pos.size, np.inf)
-        rows, own = [n] * len(run), [_loop_generator() for _ in run]
-        for step in range(n_steps):
-            if pos.size == 0:
-                break
-            draws = [(step_generator(seeds[run[b]], step, own[b]), k) for b, k in enumerate(rows) if k]
-            z, un = _variates(1, draws)
-            sig = 1.0 + 2.0 * a * pos
-            new = pos + sig * sqdt * z[:, 0]
-            var = sig * sig * dt
-            gap_hi, gap_lo, edge = np.maximum(hi - new, 0), np.maximum(new, 0), _BAND * var
-            band = np.flatnonzero(((hi - pos) * gap_hi < edge) | (pos * gap_lo < edge) | (un == 0))
-            hit_hi, hit_lo = new >= hi, new <= 0
-            if band.size:
-                p0, ub, vb = pos[band], un[band], var[band]
-                p_hi = np.exp(-2.0 * np.maximum(hi - p0, 0) * gap_hi[band] / vb)
-                p_lo = np.exp(-2.0 * np.maximum(p0, 0) * gap_lo[band] / vb)
-                fire = hit_hi[band] | (ub < p_hi)
-                hit_lo[band] |= ~fire & (ub >= p_hi) & (ub < p_hi + p_lo)
-                hit_hi[band] = fire
-            state[path[hit_hi]] = 1
-            state[path[hit_lo]] = 2
-            keep = ~(hit_hi | hit_lo)
-            exit_time[path[~keep]] = (step + 1) * dt
-            pos, path = new[keep], path[keep]
-            rows = _alive_rows(keep, rows, pos.size)
-        state[path] = 3
-        out += [(state[b * n : (b + 1) * n], exit_time[b * n : (b + 1) * n]) for b in range(len(run))]
-    return out
+    n_steps, sqdt = int(np.ceil(horizon / dt - 1e-9)), np.sqrt(dt)
+    state, stop = np.full(len(us) * n, 3, dtype=np.int8), np.full(len(us) * n, -1)  # 3 unless it exits, at loop step stop
+    pos, path, queued, it = np.empty(0), np.empty(0, dtype=np.intp), 0, 0  # live paths, index in state, loop step
+    live, rows, born = [], [], [0] * len(us)  # per live start (k, generator), paths inside; loop step admitted
+    while True:  # start k is at its own step it - born[k]
+        admit = _admitted([n] * (len(us) - queued), pos.size) if queued < len(us) else 0
+        if admit:
+            pos = np.concatenate([pos] + [np.full(n, float(u)) for u in us[queued : queued + admit]])
+            path = np.concatenate([path, np.arange(queued * n, (queued + admit) * n)])
+            live, rows = live + [(k, _loop_generator()) for k in range(queued, queued + admit)], rows + [n] * admit
+            born[queued : queued + admit], queued = [it] * admit, queued + admit
+        done = [it - born[k] == n_steps or not r for (k, _), r in zip(live, rows)]
+        if any(done):
+            kept = np.repeat(np.logical_not(done), rows)
+            pos, path = pos[kept], path[kept]
+            live, rows = [b for b, d in zip(live, done) if not d], [r for r, d in zip(rows, done) if not d]
+            continue
+        if not live:
+            break
+        z, un = _variates(1, [(step_generator(seeds[k], it - born[k], g), r) for (k, g), r in zip(live, rows)])
+        sig = 1.0 + 2.0 * a * pos
+        new = pos + sig * sqdt * z[:, 0]
+        var = sig * sig * dt
+        gap_hi, gap_lo, edge = np.maximum(hi - new, 0), np.maximum(new, 0), _BAND * var
+        band = np.flatnonzero(((hi - pos) * gap_hi < edge) | (pos * gap_lo < edge) | (un == 0))
+        hit_hi, hit_lo = new >= hi, new <= 0
+        if band.size:
+            p0, ub, vb = pos[band], un[band], var[band]
+            p_hi = np.exp(-2.0 * np.maximum(hi - p0, 0) * gap_hi[band] / vb)
+            p_lo = np.exp(-2.0 * np.maximum(p0, 0) * gap_lo[band] / vb)
+            fire = hit_hi[band] | (ub < p_hi)
+            hit_lo[band] |= ~fire & (ub >= p_hi) & (ub < p_hi + p_lo)
+            hit_hi[band] = fire
+        state[path[hit_hi]] = 1
+        state[path[hit_lo]] = 2
+        keep = ~(hit_hi | hit_lo)
+        stop[path[~keep]] = it
+        pos, path, rows, it = new[keep], path[keep], _alive_rows(keep, rows, np.count_nonzero(keep)), it + 1
+    exit_time = np.where(stop < 0, np.inf, (stop - np.repeat(born, n) + 1) * dt)  # at the start's own step
+    return [(state[k * n : (k + 1) * n], exit_time[k * n : (k + 1) * n]) for k in range(len(us))]
 
 
 def escape_bounds_check(

@@ -22,16 +22,17 @@ paths.  Its variate is then a function of (seed, step, alive slot), not of
 its original index: it depends on which paths died earlier, and splitting
 a batch changes the realisations.  Keying the noise by path id is item 1
 of ROADMAP.md.  Independent batches of one call, one start on one seed
-each, are stepped together, each on its own block in its own slot order,
-so stacking changes no variate.  The starts of a split profile share one
-block: within a window, every start's path on slot j (its row in its
-start's cloud) takes variate j.
+each, join that loop at their own step 0 as earlier paths die, each on its
+own block in its own slot order, so sharing changes no variate.  The starts
+of a split profile share one block: within a window, every start's path on
+slot j (its row in its start's cloud) takes variate j.  Path state is held
+column-major (`_columns`), so per-axis work runs on contiguous columns.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -95,27 +96,36 @@ class AbsorbedPath:
 # would not do: there the computed exp already exceeds 2**-53 by 3 ulps.
 _BAND = 19.0
 
-_STACK = 8192  # most start coordinates (rows x d) in one stack: arrays <= 64 KiB
+_STACK = 8192  # most live coordinates (rows x d) in a loop, bar one bigger batch: arrays <= 64 KiB
 
 
-def _stacks(sizes) -> list[list[int]]:
-    """Runs of consecutive batches whose sizes (rows x d) total at most
-    _STACK; a bigger batch runs alone."""
-    runs, total = [], math.inf
-    for i, size in enumerate(sizes):
-        runs, total = (runs, total + size) if total + size <= _STACK else (runs + [[]], size)
-        runs[-1].append(i)
-    return runs
+def _admitted(sizes, live):
+    """How many of the queued batches, of `sizes` coordinates (rows x d) each, next first,
+    join a loop that holds `live` coordinates: while they fit in _STACK, and one into an empty loop."""
+    k = 0
+    while k < len(sizes) and (not live or live + sizes[k] <= _STACK):
+        live, k = live + sizes[k], k + 1
+    return k
+
+
+def _columns(a):
+    """(n, d) `a` column-major for d <= 7, where `domains._sum_squares` adds a row in the same order either way."""
+    return np.asfortranarray(a) if a.shape[1] <= 7 else a
+
+
+def _take(a, idx):
+    """Rows `idx` of `a` in its layout (`take(idx, 0)` of an F array returns a C one)."""
+    return a.T.take(idx, 1).T if a.ndim == 2 and a.flags.f_contiguous else a.take(idx, 0)
 
 
 def _variates(dim, draws):
-    """Step noise (z, u) of a stack: each (g, k) of `draws`, one batch in
-    order, draws k normal dim-vectors, then k uniforms, from its own g."""
+    """Step noise (z, u) of the live batches: each (g, k) of `draws`, one batch in order, draws k
+    normal dim-vectors, row-major, then k uniforms, from its own g; z is held as `_columns` holds it."""
     if len(draws) == 1:
         [(g, k)] = draws
-        return g.standard_normal((k, dim)), g.random(k)
+        return _columns(g.standard_normal((k, dim))), g.random(k)
     z = [g.standard_normal((k, dim)) for g, k in draws]
-    return np.concatenate(z), np.concatenate([g.random(k) for g, k in draws])
+    return _columns(np.concatenate(z)), np.concatenate([g.random(k) for g, k in draws])
 
 
 def _alive_rows(alive, rows, total):
@@ -132,8 +142,8 @@ def _step(model, x, noise, dt, bridge, rho):
     """One Euler step with absorption for the k paths in `x`:
     (x_new, alive, rho_new).
 
-    `x` has shape (k, d); `rho`, of shape (k,), is rho_boundary(x), carried
-    by every caller from the step before.  `noise` is (z, u), k normal
+    `x` has shape (k, d), in either layout; `rho`, of shape (k,), is rho_boundary(x),
+    carried by every caller from the step before.  `noise` is (z, u), k normal
     d-vectors (d = model.dim) and k uniforms, row j for row j of `x`.
     A path is alive when x_new lies in the open domain {rho > 0} and, with
     `bridge`, the Brownian-bridge crossing test u < p, p = exp(-2 rho(x)
@@ -163,7 +173,7 @@ def _step(model, x, noise, dt, bridge, rho):
             near |= u == 0
         band = np.flatnonzero(near & alive)
         if band.size:
-            s2 = model.normal_sigma2(x.take(band, 0), s if np.ndim(s) == 0 else s.take(band, 0))
+            s2 = model.normal_sigma2(_take(x, band), s if np.ndim(s) == 0 else _take(s, band))
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 p_cross = np.exp(-2.0 * rho.take(band) * rho1.take(band) / (s2 * dt))
             alive[band[u.take(band) < p_cross]] = False  # s2 = 0 or NaN gives p = 0 or NaN: no kill
@@ -242,13 +252,20 @@ def _snap_steps(times, dt) -> list[int]:
 
 
 def _snapshots(model, clouds, times, dt, seeds, *, bridge=True, keep_positions=(), after=None):
-    """`survival_snapshots` of every cloud k on seeds[k], in order: the
-    stacks of `_stacks` take one `_step` per step, and compaction keeps each
-    batch's rows in order.  Every cloud is checked before any step.
+    """`survival_snapshots` of every cloud k on seeds[k], in order, in one
+    stepping loop.  Every cloud is checked before any step.
 
-    With one seed in place of the list, the clouds (n paths each) share its
-    noise as one stack: a step draws n variates, and row r takes those of
-    slot[r], its row in its cloud, carried through compaction.
+    The live paths are one (n, d) array held by `_columns`, each batch's rows
+    in order, and a step is one `_step`.  Each batch has its own step and
+    generator.  Before a step the loop retires the batches at the last
+    snapshot or with no alive path, then admits queued ones, each at its
+    step 0, while they fit in _STACK (`_admitted`).  `_step` is row-wise and
+    a batch draws from its own (seed, step) block, so its bits do not depend
+    on the others.  With one seed in place of the list, the clouds (n paths
+    each) share its noise: a step draws n variates, and row r takes those of
+    slot[r], its row in its cloud, carried through compaction.  Such
+    clouds, and those of a call with `after`, share one step index: they are
+    admitted at once and retire together.
     `after(step, idx, (x, rho, rows, slot))`, run after each step's
     compaction with `idx` the alive rows, returns the state that goes on;
     slot is None for independent batches.
@@ -258,42 +275,49 @@ def _snapshots(model, clouds, times, dt, seeds, *, bridge=True, keep_positions=(
         raise DomainError("some start positions are not in the open domain")
     times = sorted(float(t) for t in times)
     snap = _snap_steps(times, dt)
+    at = {s: [ti for ti, t in enumerate(snap) if t == s] for s in snap}  # the snapshots of each step
     keep = {int(np.ceil(t / dt - 1e-9)) for t in keep_positions}
-    shared = np.ndim(seeds) == 0
-    n_steps, out = max(snap) if snap else 0, []
-    for run in [list(range(len(clouds)))] if shared else _stacks([c.size for c in clouds]):
-        rows = [clouds[k].shape[0] for k in run]  # alive paths of each batch
-        x = clouds[run[0]] if len(run) == 1 else np.concatenate([clouds[k] for k in run])
-        slot = np.tile(np.arange(rows[0]), len(run)) if shared else None
-        counts = np.zeros((len(run), len(times)), dtype=np.int64)  # 0 after every path died
-        positions: list[dict[float, np.ndarray]] = [{} for _ in run]
-        rho, own, ti = model.domain.rho_boundary(x), [_loop_generator() for _ in run], 0
-        live = list(range(len(run)))  # the batches whose separate runs reach this step
-        for step in range(n_steps + 1):
-            while ti < len(times) and snap[ti] == step:
-                counts[:, ti] = rows
+    shared, n_steps = np.ndim(seeds) == 0, max(snap) if snap else 0
+    solo = not shared and after is None  # each batch admitted and retired on its own
+    queue = [([k], c.size) for k, c in enumerate(clouds)] if solo else [(range(len(clouds)), sum(map(np.size, clouds)))]
+    counts = np.zeros((len(clouds), len(times)), dtype=np.int64)  # 0 after every path died
+    positions: list[dict[float, np.ndarray]] = [{} for _ in clouds]
+    x, rho, slot, queued = np.empty((0, model.dim)), np.empty(0), None, 0
+    live, rows = [], []  # per live batch: [cloud, step, generator], and its alive paths
+    while True:
+        admit = _admitted([size for _, size in queue[queued:]], x.size) if queued < len(queue) else 0
+        fresh, queued = [k for grp, _ in queue[queued : queued + admit] for k in grp], queued + admit
+        if fresh:
+            x = _columns(np.concatenate([x] + [clouds[k] for k in fresh]))
+            rho = np.concatenate([rho] + [model.domain.rho_boundary(clouds[k]) for k in fresh])
+            slot = np.tile(np.arange(len(clouds[0])), len(clouds)) if shared else None
+            live, rows = live + [[k, 0, _loop_generator()] for k in fresh], rows + [len(clouds[k]) for k in fresh]
+        for (k, step, _), r, lo in zip(live, rows, accumulate(rows, initial=0)):
+            for ti in at.get(step, ()):
+                counts[k, ti] = r
                 if step in keep:
-                    ends = np.cumsum(rows)
-                    for b in live:
-                        positions[b][times[ti]] = x[ends[b] - rows[b] : ends[b]].copy()
-                ti += 1
-            live = [b for b in live if rows[b]]
-            if step == n_steps or not live:
-                break
-            if shared:
-                z, u = _variates(model.dim, [(step_generator(seeds, step, own[0]), len(clouds[0]))])
-                noise = z.take(slot, 0), u.take(slot)
-            else:
-                noise = _variates(model.dim, [(step_generator(seeds[run[b]], step, own[b]), rows[b]) for b in live])
-            x_new, alive, rho_new = _step(model, x, noise, dt, bridge, rho)
-            idx = np.flatnonzero(alive)
-            x, rho, rows = x_new.take(idx, 0), rho_new.take(idx), _alive_rows(alive, rows, idx.size)
-            slot = None if slot is None else slot.take(idx)
-            if after is not None:
-                x, rho, rows, slot = after(step + 1, idx, (x, rho, rows, slot))
-        for k, c, p in zip(run, counts, positions):
-            out.append(SnapshotResult(np.array(times), c, len(clouds[k]), p))
-    return out
+                    positions[k][times[ti]] = x[lo : lo + r].copy()
+        done = [step == n_steps or not (r if solo else sum(rows)) for (_, step, _), r in zip(live, rows)]
+        if any(done):
+            idx = np.flatnonzero(np.repeat(np.logical_not(done), rows))
+            x, rho = _take(x, idx), rho.take(idx)
+            live, rows = [b for b, d in zip(live, done) if not d], [r for r, d in zip(rows, done) if not d]
+            continue
+        if not live:
+            break
+        if shared:
+            z, u = _variates(model.dim, [(step_generator(seeds, live[0][1], live[0][2]), len(clouds[0]))])
+            noise = _take(z, slot), u.take(slot)
+        else:
+            noise = _variates(model.dim, [(step_generator(seeds[k], j, g), r) for (k, j, g), r in zip(live, rows) if r])
+        x_new, alive, rho_new = _step(model, x, noise, dt, bridge, rho)
+        idx = np.flatnonzero(alive)
+        x, rho, rows = _take(x_new, idx), rho_new.take(idx), _alive_rows(alive, rows, idx.size)
+        slot = None if slot is None else slot.take(idx)
+        live = [[k, j + 1, g] for k, j, g in live]
+        if after is not None:
+            x, rho, rows, slot = after(live[0][1], idx, (x, rho, rows, slot))
+    return [SnapshotResult(np.array(times), c, len(cloud), p) for c, cloud, p in zip(counts, clouds, positions)]
 
 
 def survival_snapshots(
@@ -382,7 +406,7 @@ def tube_probability(
         if step < k1:
             return state
         inside = np.flatnonzero(np.linalg.norm(pts - center, axis=1) <= radius)
-        return pts.take(inside, 0), rho.take(inside), [inside.size], slot
+        return _take(pts, inside), rho.take(inside), [inside.size], slot
 
     [res] = _snapshots(model, [pos], [2 * t1], dt, [seed], bridge=bridge, after=in_tube)
     p = float(res.counts[0]) / n
@@ -431,7 +455,7 @@ def split_survival_profile(
                     donors.append(lo + stream_generator(seed, purpose=step * 1000 + i).integers(0, k, size=n))
                 lo += k
             pick = np.concatenate(donors)
-            x, rho, slot = x.take(pick, 0), rho.take(pick), np.tile(np.arange(n), len(donors))
+            x, rho, slot = _take(x, pick), rho.take(pick), np.tile(np.arange(n), len(donors))
             rows = [n if k else 0 for k in rows]
         at = [ti for ti, s in enumerate(snap) if s == step]
         at_snap[0, at], at_snap[1, at] = log_surv, rel_var

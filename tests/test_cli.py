@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -534,3 +535,33 @@ t0_candidates = 0.5 1.0
     assert main(["certify-A", "--config", cfg, "--out", str(out)]) == 0
     assert (out / "conditionA.csv").exists()
     assert (out / "nu.csv").exists()
+
+
+# one changed field of a benchmark config per case: each used to end in a
+# traceback, or in a NaN survival series reported as a pass
+BAD_COUNTS = [
+    ("simulate", "n", "0", "must be positive"),
+    ("simulate", "snapshots", "0", "must be positive"),
+    ("simulate", "horizon", "0.001", "must be at least 0.002"),
+    ("fleming-viot", "n", "1", "must be at least 2"),
+    ("fleming-viot", "bins", "0", "must be positive"),
+    ("certify-A", "n", "50", "must be at least 100"),
+    ("certify-A", "bins", "0", "must be positive"),
+    ("gradient", "n", "0", "must be positive"),
+    ("boundary-return", "n", "50", "must be at least 100"),
+    ("scale1d", "n", "0", "must be positive"),
+    ("decay-report", "n", "50", "must be at least 100"),
+    ("decay-report", "bins", "0", "must be positive"),
+]
+
+
+@pytest.mark.parametrize("kind,key,value,fragment", BAD_COUNTS)
+def test_diffusion_kinds_reject_bad_counts(tmp_path, capsys, kind, key, value, fragment):
+    text = (ROOT / "perfbench" / "configs" / f"{kind.replace('-', '_')}.cfg").read_text()
+    text, hits = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    assert hits == 1
+    cfg = write(tmp_path, "bad.cfg", text)
+    assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"field '{key}' in [params] {fragment}, got {value}" in err and err.count("\n") == 1
+    assert not (tmp_path / "o" / "report.txt").exists()

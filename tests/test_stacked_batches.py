@@ -1,9 +1,11 @@
-"""Independent seeded batches stepped together equal their separate runs.
+"""Independent seeded batches sharing one stepping loop equal their separate runs.
 
-A stack shares one array and one `_step` per step, but each batch draws
-from its own (seed, step) block in its own slot order, so every output
+The loop holds one array and takes one `_step` per step, and admits a
+queued batch at its own step 0 when the live paths leave room; each batch
+draws from its own (seed, step) block in its own slot order, so every output
 here must equal, bit for bit, the one-batch public function run per start,
-with the same number of generators and variates.  Windowed splitting,
+with the same number of generators and variates.  For d >= 2 the loops hold
+their paths column-major, which must change no bit either.  Windowed splitting,
 hitting and tube probabilities, cases of the same loop, must equal the
 stand-alone loops of `oracles` in the same way.
 """
@@ -19,6 +21,7 @@ import qsd.scale1d
 import qsd.simulate
 from qsd.certificates import (
     ConditionACertificate,
+    FailedA2Error,
     ProbeGrid,
     boundary_return_constant,
     certify_condition_A,
@@ -29,16 +32,19 @@ from qsd.certificates import (
     ht_profile,
     minorize_laws,
 )
-from qsd.domains import BallTarget, DomainError, InnerCompact
+from qsd.domains import Ball, BallTarget, Box, DomainError, InnerCompact
 from qsd.measures import Measure, histogram_from_samples
-from qsd.models import build_model
+from qsd.models import DiffusionModel, MatrixField, ZeroDrift, build_model
 from qsd.particles import conditioned_law_series, domain_grid
 from qsd.rng import stream_generator, substream
 from qsd.scale1d import escape_bounds_check, green_constants, natural_scale_exit_mc
 from qsd.simulate import (
     _STACK,
+    _admitted,
+    _columns,
     _snapshots,
-    _stacks,
+    _step,
+    _variates,
     hitting_before,
     split_survival_profile,
     survival_snapshots,
@@ -110,13 +116,14 @@ def tally(monkeypatch):
 # --- the stacked snapshot loop ---------------------------------------------------
 
 
-def test_stacks_are_consecutive_runs_within_the_cap():
-    assert _stacks([]) == []
-    assert _stacks([100, 1003, 4000, 3500, 100]) == [[0, 1, 2], [3, 4]]
-    assert _stacks([200, 2006, 8000, 7000, 200]) == [[0, 1], [2], [3, 4]]
-    # a batch above the cap runs alone; one at the cap fills a stack
-    assert _stacks([300, 3009, 12000, 10500, 300]) == [[0, 1], [2], [3], [4]]
-    assert _stacks([_STACK, 1, _STACK - 1, 1]) == [[0], [1, 2], [3]]
+def test_admission_fills_the_cap_and_an_empty_loop():
+    assert _admitted([], 0) == 0
+    assert _admitted([100, 1003, 4000, 3500, 100], 0) == 3
+    assert _admitted([100, 1003, 4000], 4000) == 2
+    assert _admitted([200], _STACK - 200) == 1 and _admitted([201], _STACK - 200) == 0
+    # a batch above the cap runs alone; one at the cap fills the loop
+    assert _admitted([12000, 300], 0) == 1 and _admitted([300, 12000], 0) == 1
+    assert _admitted([_STACK, 1], 0) == 1 and _admitted([1, _STACK - 1, 1], 0) == 2
 
 
 @pytest.mark.parametrize("bridge", [True, False])
@@ -126,8 +133,7 @@ def test_stacked_snapshots_equal_separate_runs(name, bridge, tally):
     deep, edge = DOMAINS[name][3:]
     clouds = [np.tile(edge if k == 0 else deep, (n, 1)) for k, n in enumerate(SIZES)]
     seeds = [substream(5, k) for k in range(len(SIZES))]
-    stacks = _stacks([c.size for c in clouds])
-    assert len(stacks) > 1 and max(len(s) for s in stacks) > 1
+    assert 1 < _admitted([c.size for c in clouds], 0) < len(clouds)  # some batches wait for admission
     times, keep = [0.05, 0.2, 1.0], [0.2, 1.0]
     stacked = list(_snapshots(model, clouds, times, 1e-2, seeds, bridge=bridge, keep_positions=keep))
     drawn = dict(tally)
@@ -171,6 +177,145 @@ def test_conditioned_law_series_equals_the_reference_loop(name, bridge):
             assert h is None or np.array_equal(h.weights, histogram_from_samples(grid, pos).weights)
         survs.append(surv)
     assert survs[0][-1] > 0 and (survs[1][0] == 0) == bridge
+
+
+# --- admission: later batches join the loop as earlier paths die ----------------------
+
+
+@pytest.fixture
+def small_stack(monkeypatch):
+    """A coordinate cap of 600, and the (live coordinates, batches admitted)
+    of every admission decision of the loops."""
+    monkeypatch.setattr(qsd.simulate, "_STACK", 600)
+    seen, real = [], qsd.simulate._admitted
+
+    def spy(sizes, live):
+        seen.append((live, real(sizes, live)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(qsd.simulate, "_admitted", spy)
+    monkeypatch.setattr(qsd.scale1d, "_admitted", spy)
+    return seen
+
+
+def _admitted_mid_run(seen):
+    return any(live and k for live, k in seen)
+
+
+@pytest.mark.parametrize("bridge", [True, False])
+@pytest.mark.parametrize("name", list(DOMAINS))
+def test_admission_mid_run_equals_separate_runs(name, bridge, small_stack, tally):
+    """Uneven batches, one above the cap, boundary batches that die early,
+    and batches admitted while others step: each equals its own run, with
+    the same generators and variates."""
+    model = model_of(name)
+    deep, edge = DOMAINS[name][3:]
+    big = 600 // model.dim + 1
+    plan = [(deep, 150), (edge, 40), (MIDS[name], 90), (edge, big), (deep, 30), (MIDS[name], 120), (edge, 55)]
+    clouds = [np.tile(x, (n, 1)) for x, n in plan]
+    seeds = [substream(6, k) for k in range(len(plan))]
+    times, keep = [0.0, 0.05, 0.2, 0.3], [0.05, 0.3]
+    shared = _snapshots(model, clouds, times, 1e-2, seeds, bridge=bridge, keep_positions=keep)
+    drawn = dict(tally)
+    tally.clear()
+    assert _admitted_mid_run(small_stack)
+    for cloud, seed, res in zip(clouds, seeds, shared):
+        ref = survival_snapshots(model, cloud, times, 1e-2, seed, bridge=bridge, keep_positions=keep)
+        assert res.n == ref.n and np.array_equal(res.counts, ref.counts)
+        assert res.positions.keys() == ref.positions.keys()
+        for t in ref.positions:
+            assert np.array_equal(res.positions[t], ref.positions[t])
+    assert drawn == dict(tally)
+    if bridge:  # a boundary batch dies out before the last snapshot
+        assert shared[1].counts[-1] == 0 and shared[0].counts[-1] > 0
+
+
+@pytest.mark.parametrize("name", ["box2", "disc", "box3"])
+def test_row_and_column_major_starts_give_equal_results(name):
+    model = model_of(name)
+    deep, edge = DOMAINS[name][3:]
+    clouds = [np.tile(deep, (300, 1)), np.tile(edge, (200, 1))]
+    runs = [
+        _snapshots(model, [layout(c) for c in clouds], [0.1, 0.2], 1e-2, [3, 4], keep_positions=[0.2])
+        for layout in (np.ascontiguousarray, np.asfortranarray)
+    ]
+    for a, b in zip(*runs):
+        assert np.array_equal(a.counts, b.counts) and a.positions.keys() == b.positions.keys()
+        assert all(np.array_equal(a.positions[t], b.positions[t]) for t in a.positions)
+    assert runs[0][0].counts[-1] > 0
+    init = model.domain.uniform(np.random.default_rng(2), 400, margin=0.1)
+    fv = [qsd.particles.fleming_viot_run(model, 400, 0.1, 3, 5, dt=1e-2, init=layout(init))
+          for layout in (np.ascontiguousarray, np.asfortranarray)]
+    assert np.array_equal(fv[0].occupation.weights, fv[1].occupation.weights)
+    assert np.array_equal(fv[0].cloud.positions, fv[1].cloud.positions)
+
+
+@pytest.mark.parametrize("name,drift", [("box2", None), ("disc", None), ("box3", None), ("box2", "constant 0.3 -0.2")])
+def test_every_loop_steps_column_major_state(name, drift, small_stack, monkeypatch):
+    """For d >= 2 `_step` sees F-contiguous paths and noise in the
+    independent, shared-noise and hooked cases of `_snapshots` and in
+    Fleming-Viot, after admission, compaction, resampling and rebirth."""
+    domain, default_drift, field, deep, edge = DOMAINS[name]
+    model = build_model(domain, drift or default_drift, field)
+    seen, real = collections.Counter(), qsd.simulate._step
+
+    def spy(m, x, noise, *args):
+        seen[x.flags.f_contiguous and noise[0].flags.f_contiguous] += 1
+        return real(m, x, noise, *args)
+
+    monkeypatch.setattr(qsd.simulate, "_step", spy)
+    monkeypatch.setattr(qsd.particles, "_step", spy)
+    calls = (
+        lambda: _snapshots(model, [np.tile(x, (100, 1)) for x in (edge, deep, edge, deep)], [0.2], 1e-2, [1, 2, 3, 4]),
+        lambda: split_survival_profile(model, np.array([deep, edge]), [0.2], 150, 5, dt=1e-2, window=0.05),
+        lambda: hitting_before(model, edge, BallTarget(tuple(deep), 0.3), 0.2, 300, 6, dt=1e-2),
+        lambda: tube_probability(model, deep, deep, 0.6, 0.1, 300, 7, dt=1e-2),
+        lambda: qsd.particles.fleming_viot_run(model, 300, 0.2, 3, 8, dt=1e-2),
+    )
+    for call in calls:
+        seen.clear()
+        call()
+        assert seen[True] > 0 and not seen[False]
+    assert _admitted_mid_run(small_stack)
+
+
+@pytest.mark.parametrize("d", [2, 7, 8, 9])
+def test_held_layout_steps_like_row_major_paths(d):
+    """`_columns` holds paths column-major only up to d = 7, where `_sum_squares`
+    adds a row's squares in one order in either layout (numpy sums a wider
+    contiguous row pairwise): every output of `_step`, rho included, is that
+    of the row-major step."""
+    zeros = " 0" * d
+    model = build_model(f"ball{zeros} 1", f"linear -0.5{zeros}", f"diagonal_holder 0.7 0.2 0.5{zeros}")
+    x = model.domain.uniform(np.random.default_rng(d), 3000)
+    z, u = _variates(d, [(qsd.rng.step_generator(4, 0), 3000)])
+    held = _step(model, _columns(x), (z, u), 0.02, True, model.domain.rho_boundary(x))
+    plain = _step(model, x, (np.ascontiguousarray(z), u), 0.02, True, model.domain.rho_boundary(x))
+    for a, b in zip(held, plain):
+        assert np.array_equal(a, b)
+    assert held[0].flags.f_contiguous == (d <= 7) and not held[1].all()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("domain", ["box", "ball"])
+def test_matrix_field_steps_alike_in_both_layouts(domain, dim):
+    """`MatrixField` gives the same bits on column-major paths and noise; einsum
+    alone does not (it summed d = 3 products in another order)."""
+    dom = Box((0.0,) * dim, (1.0,) * dim) if domain == "box" else Ball((0.0,) * dim, 1.0)
+
+    def tilted(x):
+        return 0.7 * np.eye(x.shape[1]) + 0.15 * np.sin(x)[:, :, None] * np.cos(x)[:, None, :]
+
+    model = DiffusionModel(dom, ZeroDrift(), MatrixField(tilted), 0.2, 1.5, 0.0)
+    x = dom.uniform(np.random.default_rng(dim), 2000)
+    z, u = _variates(dim, [(qsd.rng.step_generator(9, 0), 2000)])
+    outs = [
+        _step(model, layout(x), (layout(z), u), 0.05, True, dom.rho_boundary(x))
+        for layout in (np.ascontiguousarray, np.asfortranarray)
+    ]
+    assert not outs[0][1].all()  # some paths are killed, some by the bridge test
+    for a, b in zip(*outs):
+        assert np.array_equal(a, b)
 
 
 # --- windowed splitting, hitting and tube probabilities on the one loop -------------
@@ -259,12 +404,29 @@ def test_exit_mc_equals_the_reference_loop(a, u, n, tally):
     assert drawn == dict(tally) and drawn["generators"] > 0
 
 
+def test_exit_mc_admits_starts_mid_run_like_the_reference(small_stack, tally):
+    """Five starts of 160 paths under a cap of 600: the last ones are admitted
+    as earlier paths exit, and every state and exit time is that of the start
+    run on its own."""
+    us, seeds = [0.01, 0.49, 0.125, 0.4, 0.25], [21, 22, 23, 24, 25]
+    shared = qsd.scale1d._exit_mc(0.5, us, 0.5, 0.1, 160, seeds, dt=1e-3)
+    drawn = dict(tally)
+    tally.clear()
+    assert _admitted_mid_run(small_stack)
+    for u, seed, (state, exit_time) in zip(us, seeds, shared):
+        ref_state, ref_time = exit_mc_reference(0.5, u, 0.5, 0.1, 160, seed, dt=1e-3)
+        assert np.array_equal(state, ref_state) and np.array_equal(exit_time, ref_time)
+        natural_scale_exit_mc(0.5, u, 0.5, 0.1, 160, seed, dt=1e-3)
+    assert drawn == dict(tally)
+    assert (shared[-1][0] == 3).any() and np.isfinite(shared[-1][1]).any()
+
+
 @pytest.mark.parametrize("n", [1003, 4000])
 def test_escape_check_equals_the_reference_loop(n, tally):
     a, eps1, seed, u_grid = 0.5, 1.0, 20, [0.125, 0.25, 0.375, 0.1, 0.4]
     rep = escape_bounds_check(a, eps1, u_grid, n, seed, dt=1e-3)
     drawn = dict(tally)
-    assert len(_stacks([n] * len(u_grid))) < len(u_grid)  # some u's shared a stack
+    assert _admitted([n] * len(u_grid), 0) > 1  # some u's share their steps
     c_eps, s1 = green_constants(a, eps1)
     escape = [c for c in rep.checks if c.name.startswith("escape")]
     tail = [c for c in rep.checks if c.name.startswith("tail")]
@@ -324,6 +486,16 @@ def test_estimate_A1_and_A2_equal_per_point_references():
     c2, c2_cons, worst = a2_reference(model, a1.nu, pts, times, 1000, 8, 5e-3)
     assert (a2.c2, a2.c2_conservative) == (c2, c2_cons)
     assert np.array_equal(a2.worst_point_survival, worst)
+
+
+def test_estimate_A2_zero_nu_survival_keeps_its_error(tally):
+    """The nu cloud and the probe batches share one loop; a nu cloud that
+    dies out still raises the one error, and the probes are stepped too."""
+    model = model_of("box2")
+    grid = domain_grid(model, 3)
+    with pytest.raises(FailedA2Error, match="^zero survival from the minorizing measure on the grid$"):
+        estimate_A2(model, Measure(grid, np.full(grid.size, 1 / grid.size)), BOX2_POINTS[:2], [6.0], 100, 3, dt=2e-2)
+    assert tally["generators"] > 300
 
 
 def test_certify_condition_A_equals_per_point_references():
