@@ -313,7 +313,7 @@ def test_matrix_field_steps_alike_in_both_layouts(domain, dim):
         _step(model, layout(x), (layout(z), u), 0.05, True, dom.rho_boundary(x))
         for layout in (np.ascontiguousarray, np.asfortranarray)
     ]
-    assert not outs[0][1].all()  # some paths are killed, some by the bridge test
+    assert not outs[0][1].all()  # some paths are killed
     for a, b in zip(*outs):
         assert np.array_equal(a, b)
 
