@@ -11,11 +11,9 @@ from .chains import (
     FiniteAbsorbedChain,
     SpectralData,
     TwoSidedCertificate,
-    build_nu_xy,
     check_condition_A_prime,
     evolve_conditioned,
     fit_two_sided,
-    infimum_measure,
     load_chain,
     parse_chain_text,
     qsd_spectral,
@@ -27,9 +25,7 @@ from .measures import (
     CEMETERY,
     BinGrid,
     FiniteStateSpace,
-    FiniteSupport,
     Measure,
-    distribution,
     histogram_from_samples,
     lipschitz_constant,
     tv_distance,

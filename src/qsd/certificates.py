@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import FiniteAbsorbedChain, _conditioned_tv, _survival_ratios, qsd_spectral
+from .chains import FiniteAbsorbedChain, _conditioned_tv, _survival_ratios
+from .chains import qsd_spectral  # noqa: F401  (importable from here, as before)
 from .domains import DomainError
 from .measures import (
     CEMETERY,
@@ -172,16 +173,6 @@ def _grid_survival(model, pts, times, n, seed, ids, *, dt, window=0.0):
     return np.array([r.survival() for r in res]), np.array([r.standard_errors() for r in res])
 
 
-def estimate_A1_chain(chain: FiniteAbsorbedChain, t0: int) -> tuple[float, Measure]:
-    """Exact finite-chain analog: bin-wise min over conditioned rows."""
-    p = chain.power(t0)
-    rows = p / p.sum(axis=1, keepdims=True)
-    c1, m = minorize_laws(rows)
-    if c1 <= 0:
-        raise NoMinorizationError("conditioned rows have disjoint supports")
-    return c1, Measure(chain.support, m / c1)
-
-
 @dataclass(frozen=True)
 class A2Estimate:
     c2: float
@@ -246,16 +237,6 @@ def estimate_A2(
     )
 
 
-def estimate_A2_chain(
-    chain: FiniteAbsorbedChain, nu_weights: np.ndarray, horizon: int
-) -> float:
-    """Exact min over t <= horizon (and the spectral limit) of the survival ratio."""
-    nu = np.asarray(nu_weights, dtype=float)
-    qsd_spectral(chain)  # no limit without primitivity: PrimitivityError
-    vals, limits = _survival_ratios(chain, nu[None, :], horizon)
-    return min(float(vals.min()), float(limits[0]))
-
-
 @dataclass(frozen=True)
 class ConditionACertificate:
     """Empirical minorization certificate (t0, c1, nu, c2)."""
@@ -285,10 +266,10 @@ def certify_condition_A(
     seed: int,
     *,
     dt: float,
-    conservative: bool = True,
 ) -> ConditionACertificate:
     """Scan t0 candidates and keep the certificate with the best certified
-    rate gamma_hat = -ln(1 - c1 c2)/t0."""
+    rate gamma_hat = -ln(1 - c1 c2)/t0, with the conservative c2 of each
+    candidate."""
     best = None
     for j, t0 in enumerate(t0_candidates):
         a1 = estimate_A1(
@@ -303,8 +284,7 @@ def certify_condition_A(
             substream(seed, 41, j),
             dt=dt,
         )
-        c2 = a2.c2_conservative if conservative else a2.c2
-        c2 = min(max(c2, 0.0), 1.0)
+        c2 = min(max(a2.c2_conservative, 0.0), 1.0)
         if c2 <= 0:
             continue
         cand = ConditionACertificate(t0=float(t0), c1=min(a1.c1, 1.0), nu=a1.nu, c2=c2)
@@ -473,12 +453,11 @@ def gradient_profile(
     dts,
     windows=None,
     shape_factor: float = 2.0,
-    include_boundary: bool = True,
 ) -> GradientProfile:
     """Lipschitz profile L(t) of x -> P_x(t < tau) over a probe grid.
 
-    L(t) is the pairwise max quotient over the grid (plus the cemetery,
-    whose survival is 0 and whose distance to x is rho_boundary(x)).  Side
+    L(t) is the pairwise max quotient over the grid and the cemetery,
+    whose survival is 0 and whose distance to x is rho_boundary(x).  Side
     checks: L(t) (1 ^ sqrt(t)) spread within `shape_factor` across the
     grid of times; L(t)/max survival spread within `shape_factor` over the
     times with t >= 1; the smallest time t1 yields
@@ -494,7 +473,7 @@ def gradient_profile(
     windows = list(windows) if windows is not None else [0.0] * len(times)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     space = _grid_space(model, pts)
-    labels = list(range(len(pts))) + ([CEMETERY] if include_boundary else [])
+    labels = list(range(len(pts))) + [CEMETERY]
     L = np.zeros(len(times))
     max_surv = np.zeros(len(times))
     inconclusive = np.zeros(len(times), dtype=bool)
@@ -511,8 +490,8 @@ def gradient_profile(
                 "paths each; increase n or reduce the times"
             )
         surv_profiles.append(surv)
-        # the cemetery, if a label, has survival 0
-        L[k] = lipschitz_constant(labels, np.append(surv, 0.0)[: len(labels)], space.metric)
+        # the cemetery has survival 0
+        L[k] = lipschitz_constant(labels, np.append(surv, 0.0), space.metric)
         max_surv[k] = float(surv.max())
         diffs = np.abs(surv[:, None] - surv[None, :]).max()
         inconclusive[k] = se.max() > 0.2 * max(diffs, 1e-300)
@@ -533,8 +512,8 @@ def gradient_profile(
             "late-time-ratio-spread", float(ratios.max() / ratios.min()), shape_factor
         )
     # P_x(t1 < tau) <= L(t1) rho(x) on the measured profile at the smallest
-    # time; holds by construction when the cemetery pair enters L, recorded
-    # to pin the constant C = L(t1).
+    # time; holds by construction, since the cemetery pairs enter L, and is
+    # recorded to pin the constant C = L(t1).
     k1 = int(np.argmin(times))
     margin = float((L[k1] * space.boundary_distance - surv_profiles[k1]).min())
     rep.check_ge("survival-below-L-rho-margin", margin, 0.0, tol=1e-12)
@@ -545,18 +524,6 @@ def gradient_profile(
         inconclusive=inconclusive,
         report=rep,
     )
-
-
-def gradient_profile_chain(
-    chain: FiniteAbsorbedChain,
-    t: int,
-    space: FiniteStateSpace | None = None,
-) -> tuple[float, np.ndarray]:
-    """Exact chain variant: Lipschitz constant of the survival vector."""
-    space = space or FiniteStateSpace(chain.n)
-    surv = chain.power(t).sum(axis=1)
-    L = lipschitz_constant(list(range(chain.n)), surv, space.metric)
-    return L, surv
 
 
 @dataclass(frozen=True)
@@ -640,28 +607,6 @@ class HtProfile:
     report: VerificationReport
 
 
-def _ht_from_survival(surv, space: FiniteStateSpace, rep, tol=1e-12):
-    """h_t, its maximizer, and the Lipschitz constant of h_t on grid + cemetery.
-
-    h_t vanishes at the cemetery, so the cemetery pairs participate in C''
-    exactly as in the continuum definition; an all-equal survival profile is
-    degenerate (flat h_t carries no Lipschitz information) and is flagged.
-    """
-    z = int(np.argmax(surv))  # ties resolve to the smallest index
-    h = surv / surv[z]
-    if np.allclose(h, h[0], atol=1e-12):
-        rep.add_info("degenerate-flat-profile", 1.0)
-        return h, z, 0.0, None, True
-    labels = list(range(space.n)) + [CEMETERY]
-    values = list(h) + [0.0]
-    c_dd = lipschitz_constant(labels, values, space.metric)
-    rep.add_info("c-double-prime", c_dd)
-    fz = np.maximum(1.0 - c_dd * np.array([space.metric(i, z) for i in range(space.n)]), 0.0)
-    rep.check_ge("ht-minoration-margin", float((h - fz).min()), 0.0, tol=tol)
-    rep.check_ge("z-boundary-clearance", space.rho_boundary(z), 1.0 / c_dd, tol=tol)
-    return h, z, c_dd, 1.0 / c_dd, False
-
-
 def ht_profile(
     model: DiffusionModel,
     t: float,
@@ -676,38 +621,34 @@ def ht_profile(
 
     Reports its maximizer z_t, the grid Lipschitz constant C'', the inner
     compact threshold 1/C'' and the minoration h_t >= (1 - C'' rho(., z_t))+.
+    h_t vanishes at the cemetery, so the cemetery pairs enter C'' exactly
+    as in the continuum definition.  An all-equal survival profile is
+    flagged degenerate, with C'' = 0 and no threshold: a flat h_t carries
+    no Lipschitz information.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     rep = VerificationReport(title=f"h_t profile (t={t:g})")
     surv = _grid_survival(model, pts, [t], n, seed, (80,), dt=dt, window=window)[0][:, 0]
     if surv.max() <= 0:
         raise ZeroDivisionError("no survival at this horizon; not resolvable")
-    h, z, c_dd, thr, degen = _ht_from_survival(surv, _grid_space(model, pts), rep, tol=1e-9)
+    z = int(np.argmax(surv))  # ties resolve to the smallest index
+    h = surv / surv[z]
+    degen = np.allclose(h, h[0], atol=1e-12)
+    c_dd, thr = 0.0, None
+    if degen:
+        rep.add_info("degenerate-flat-profile", 1.0)
+    else:
+        space = _grid_space(model, pts)
+        c_dd = lipschitz_constant(list(range(space.n)) + [CEMETERY], list(h) + [0.0], space.metric)
+        rep.add_info("c-double-prime", c_dd)
+        fz = np.maximum(1.0 - c_dd * np.array([space.metric(i, z) for i in range(space.n)]), 0.0)
+        rep.check_ge("ht-minoration-margin", float((h - fz).min()), 0.0, tol=1e-9)
+        rep.check_ge("z-boundary-clearance", space.rho_boundary(z), 1.0 / c_dd, tol=1e-9)
+        thr = 1.0 / c_dd
     return HtProfile(
         h=h,
         z_index=z,
         z_point=pts[z],
-        c_lipschitz=c_dd,
-        k_prime_threshold=thr,
-        degenerate=degen,
-        report=rep,
-    )
-
-
-def ht_profile_chain(
-    chain: FiniteAbsorbedChain,
-    t: int,
-    space: FiniteStateSpace | None = None,
-) -> HtProfile:
-    """Exact chain variant of the h_t profile."""
-    space = space or FiniteStateSpace(chain.n)
-    surv = chain.power(t).sum(axis=1)
-    rep = VerificationReport(title=f"h_t profile (chain, t={t})")
-    h, z, c_dd, thr, degen = _ht_from_survival(surv, space, rep, tol=1e-10)
-    return HtProfile(
-        h=h,
-        z_index=z,
-        z_point=np.array([z]),
         c_lipschitz=c_dd,
         k_prime_threshold=thr,
         degenerate=degen,

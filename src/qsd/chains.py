@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import FiniteSupport, Measure, tv_distance
+from .measures import tv_distance
 from .report import VerificationReport
 from .rng import step_generator
 
@@ -78,10 +78,6 @@ class FiniteAbsorbedChain:
     @property
     def n(self) -> int:
         return self.kernel.shape[0]
-
-    @property
-    def support(self) -> FiniteSupport:
-        return FiniteSupport(self.n)
 
     def power(self, t: int) -> np.ndarray:
         """Q^t, computed once per t and returned read-only."""
@@ -464,10 +460,6 @@ class SurvivalRatioResult:
     limit: float | None
     monotone_nonincreasing: bool
 
-    @property
-    def limit_unavailable(self) -> bool:
-        return self.limit is None
-
 
 def survival_ratio(
     chain: FiniteAbsorbedChain, pi: np.ndarray, horizon: int
@@ -527,12 +519,6 @@ def _survival_ratios(
     return vals, (laws @ eta) / eta.max()
 
 
-def infimum_measure(chain: FiniteAbsorbedChain, x: int, y: int, t: int) -> Measure:
-    """Infimum measure of delta_x Q^t and delta_y Q^t (elementwise row min)."""
-    p = chain.power(t)
-    return Measure(chain.support, np.minimum(p[x], p[y]))
-
-
 def _pair_nu_raw(pK: np.ndarray, wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
     """Unnormalized nu for every row pair of wx (a, |K|) and wy (b, |K|): (a, b, n).
 
@@ -542,35 +528,6 @@ def _pair_nu_raw(pK: np.ndarray, wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
     """
     mins = np.minimum(pK[:, None, :], pK[None, :, :])  # (|K|, |K|, n)
     return wy @ np.tensordot(wx, mins, (1, 0))
-
-
-def build_nu_xy(
-    chain: FiniteAbsorbedChain,
-    K: np.ndarray,
-    t1: int,
-    x: int,
-    y: int,
-) -> tuple[Measure, float]:
-    """Pair-minorization measure nu_{x,y} and its mass m_{x,y}.
-
-    nu_{x,y} is the double sum over (u, u') in K x K of the infimum
-    measures of the 2*t1-step laws, weighted by the conditioned 2*t1-step
-    laws from x and y restricted to K; m_{x,y} is the normalizing mass and
-    satisfies m_{x,y} >= A^2 min_{u,u' in K} (infimum mass) with A the
-    conditioned return probability to K.
-    """
-    K = np.asarray(K, dtype=int)
-    if K.size == 0:
-        raise ValueError("K must be nonempty")
-    p2 = chain.power(2 * t1)
-    w = (p2 / p2.sum(axis=1, keepdims=True))[:, K]
-    nu_raw = _pair_nu_raw(p2[K], w[[x]], w[[y]])[0, 0]
-    m = float(nu_raw.sum())
-    if m <= 0:
-        raise EmptyOverlapError(
-            f"nu_({x},{y}) has zero mass: K too small or chain reducible"
-        )
-    return Measure(chain.support, nu_raw / m), m
 
 
 @dataclass(frozen=True)

@@ -99,14 +99,16 @@ class ExperimentConfig:
     def get_floats(self, section: str, key: str, default=_REQUIRED) -> list[float] | None:
         return self._get(section, key, default, _parse_floats, "a list of numbers")
 
+    def invalid(self, section: str, key: str, must: str, got) -> ConfigError:
+        """The one-line error for a field whose value is not `must`."""
+        return ConfigError(f"{self.path}: field {key!r} in [{section}] must be {must}, got {got}")
+
     def positive(self, value: float, section: str, key: str) -> float:
         if value <= 0:
-            raise ConfigError(
-                f"{self.path}: field {key!r} in [{section}] must be positive, got {value}"
-            )
+            raise self.invalid(section, key, "positive", value)
         return value
 
     def at_least(self, value: float, least: float, section: str, key: str) -> float:
         if value < least:
-            raise ConfigError(f"{self.path}: field {key!r} in [{section}] must be at least {least}, got {value}")
+            raise self.invalid(section, key, f"at least {least}", value)
         return value

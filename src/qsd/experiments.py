@@ -21,7 +21,7 @@ from .models import DiffusionModel, build_model, validate_model
 from .particles import fleming_viot_run, lambda0_estimate
 from .report import VerificationReport
 from .rng import step_generator, substream
-from .simulate import PathConfig, simulate_path, survival_snapshots
+from .simulate import PathConfig, _snap_steps, simulate_path, survival_snapshots
 
 
 def _fmt(x) -> str:
@@ -155,22 +155,29 @@ def run_simulate(cfg: ExperimentConfig, out: str, seed: int):
 def run_fleming_viot(cfg: ExperimentConfig, out: str, seed: int):
     model = _load_model(cfg)
     dt = cfg.positive(cfg.get_float("params", "dt"), "params", "dt")
-    horizon = cfg.positive(cfg.get_float("params", "horizon"), "params", "horizon")
+    horizon = cfg.at_least(cfg.get_float("params", "horizon"), dt, "params", "horizon")  # one step at least
     n = cfg.at_least(cfg.get_int("params", "n"), 2, "params", "n")
     bins = cfg.positive(cfg.get_int("params", "bins", 64), "params", "bins")
     burn_in = cfg.get_float("params", "burn_in", horizon / 2)
+    burn_steps, n_steps = _snap_steps([burn_in, horizon], dt)
+    if burn_steps >= n_steps:
+        raise cfg.invalid("params", "burn_in", f"at most {(n_steps - 1) * dt:g}, a step before the horizon", burn_in)
     res = fleming_viot_run(
         model, n, horizon, bins, substream(seed, 3), dt=dt, burn_in=burn_in
     )
+    try:
+        fit = lambda0_estimate(
+            res.rebirth_times, res.rebirth_rates, kind="rebirth", window=(burn_in, horizon)
+        )
+    except ValueError:  # no time of the rebirth-rate series at or after burn_in
+        last = res.rebirth_times[-1]
+        raise cfg.invalid("params", "burn_in", f"at most {last:g}, the last rebirth-rate time", burn_in) from None
     write_histogram_csv(os.path.join(out, "occupation.csv"), res.occupation)
     write_histogram_csv(os.path.join(out, "final.csv"), res.final_histogram)
     _write_csv(
         os.path.join(out, "rebirth_series.csv"),
         "t,rate",
         list(zip(res.rebirth_times, res.rebirth_rates)),
-    )
-    fit = lambda0_estimate(
-        res.rebirth_times, res.rebirth_rates, kind="rebirth", window=(burn_in, horizon)
     )
     report = VerificationReport(title="fleming-viot")
     report.add_info("lambda0-rebirth-rate", fit.lambda0, se=fit.se or 0.0)
@@ -204,13 +211,24 @@ def run_certify_A(cfg: ExperimentConfig, out: str, seed: int):
     return report, False
 
 
+def _points(cfg: ExperimentConfig, dim: int) -> np.ndarray:
+    """`[params] points`, read as rows of `dim` coordinates."""
+    flat = cfg.get_floats("params", "points")
+    if not flat or len(flat) % dim:
+        raise cfg.invalid("params", "points", f"a nonzero multiple of {dim} numbers", len(flat))
+    return np.asarray(flat).reshape(-1, dim)
+
+
 def run_gradient(cfg: ExperimentConfig, out: str, seed: int):
     model = _load_model(cfg)
     times = cfg.get_floats("params", "times")
     dts = cfg.get_floats("params", "dts")
     windows = cfg.get_floats("params", "windows", [0.0] * len(times))
+    for key, vals in (("dts", dts), ("windows", windows)):
+        if len(vals) != len(times):
+            raise cfg.invalid("params", key, f"{len(times)} numbers, one per time", len(vals))
     n = cfg.positive(cfg.get_int("params", "n", 20000), "params", "n")
-    points = np.asarray(cfg.get_floats("params", "points")).reshape(-1, model.dim)
+    points = _points(cfg, model.dim)
     prof = certs.gradient_profile(
         model,
         times,
@@ -240,7 +258,7 @@ def run_boundary_return(cfg: ExperimentConfig, out: str, seed: int):
     eps = cfg.get_float("params", "eps", model.domain.inradius / 4.0)
     t1 = cfg.get_float("params", "t1", eps**2 / model.sigma_max2)
     n = cfg.at_least(cfg.get_int("params", "n", 100000), 100, "params", "n")
-    points = np.asarray(cfg.get_floats("params", "points")).reshape(-1, model.dim)
+    points = _points(cfg, model.dim)
     res = certs.boundary_return_constant(
         model, InnerCompact(model.domain, eps), t1, points, n, substream(seed, 7), dt=dt
     )
@@ -253,16 +271,19 @@ def run_boundary_return(cfg: ExperimentConfig, out: str, seed: int):
 
 
 def run_scale1d(cfg: ExperimentConfig, out: str, seed: int):
-    a = cfg.get_float("params", "a")
+    a = cfg.at_least(cfg.get_float("params", "a"), 0.0, "params", "a")
     eps0 = cfg.get_float("params", "eps0", None)
     eps1 = cfg.get_float("params", "eps1", None)
     if eps1 is None:
         if eps0 is None:
             raise ConfigError(f"{cfg.path}: missing required field 'eps0' (or 'eps1') in [params]")
-        eps1 = float(scale1d.scale_function(a, eps0))
+        eps1 = float(scale1d.scale_function(a, cfg.positive(eps0, "params", "eps0")))
+    cfg.positive(eps1, "params", "eps1")
     n = cfg.positive(cfg.get_int("params", "n", 20000), "params", "n")
     dt = cfg.positive(cfg.get_float("params", "dt", 1e-4), "params", "dt")
     u_grid = cfg.get_floats("params", "u_grid", [eps1 / 8, eps1 / 4, 3 * eps1 / 8])
+    if bad := [u for u in u_grid if not 0 < u < eps1 / 2]:
+        raise cfg.invalid("params", "u_grid", f"inside (0, eps1/2) = (0, {eps1 / 2:g})", bad[0])
     report = scale1d.escape_bounds_check(a, eps1, u_grid, n, substream(seed, 8), dt=dt)
     c_eps, s1 = scale1d.green_constants(a, eps1)
     _write_csv(

@@ -33,17 +33,6 @@ class InsufficientPointsError(ValueError):
 
 
 @dataclass(frozen=True)
-class FiniteSupport:
-    """Support descriptor for measures on {0, ..., size-1}."""
-
-    size: int
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError(f"support size must be >= 1, got {self.size}")
-
-
-@dataclass(frozen=True)
 class BinGrid:
     """Rectangular bin grid over a box, one edge array per axis."""
 
@@ -93,22 +82,12 @@ class BinGrid:
             np.stack([g.ravel() for g in ghi], axis=1),
         )
 
-    def coarsen(self, factor: int) -> "BinGrid":
-        """Merge `factor` consecutive bins along each axis (must divide)."""
-        out = []
-        for e in self.edge_arrays():
-            nb = len(e) - 1
-            if nb % factor:
-                raise ValueError(f"{nb} bins not divisible by {factor}")
-            out.append(tuple(e[::factor].tolist()))
-        return BinGrid(tuple(out))
-
 
 @dataclass(frozen=True)
 class Measure:
-    """Nonnegative weights over a finite support descriptor."""
+    """Nonnegative weights over the bins of a grid."""
 
-    support: FiniteSupport | BinGrid
+    support: BinGrid
     weights: np.ndarray = field(repr=False)
 
     def __post_init__(self):
@@ -132,20 +111,6 @@ class Measure:
     @property
     def is_distribution(self) -> bool:
         return abs(self.mass - 1.0) <= MASS_RTOL * max(1.0, self.mass)
-
-    def normalized(self) -> "Measure":
-        m = self.mass
-        if m <= 0:
-            raise ValueError("cannot normalize a zero measure")
-        return Measure(self.support, self.weights / m)
-
-
-def distribution(support, weights) -> Measure:
-    """Construct a Measure and require total mass 1 within 1e-12."""
-    m = Measure(support, weights)
-    if not m.is_distribution:
-        raise ValueError(f"mass {m.mass} is not 1 within {MASS_RTOL}")
-    return m
 
 
 def tv_distance(a, b) -> float:
@@ -195,44 +160,34 @@ def lipschitz_constant(
 
 @dataclass(frozen=True)
 class FiniteStateSpace:
-    """Finite state space {0..n-1} with an optional metric embedding.
+    """Finite state space {0..n-1} embedded in R^d, with the distance
+    rho(x, CEMETERY) of every state to the cemetery.
 
-    Defaults to the discrete metric (1 for distinct states) and boundary
-    distance 1 for every state; an embedding of the states into R^d
-    overrides the metric, and an explicit boundary-distance vector
-    overrides rho(x, CEMETERY).
-
-    It is also the metric of diffusion probe grids: the gradient and h_t
+    It is the metric of diffusion probe grids: the gradient and h_t
     profiles embed their points and take the domain's boundary distance,
     so this class is the one place that knows the distance to the cemetery.
     """
 
     n: int
-    embedding: np.ndarray | None = None
-    boundary_distance: np.ndarray | None = None
+    embedding: np.ndarray
+    boundary_distance: np.ndarray
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("need at least one state")
-        if self.embedding is not None:
-            e = np.asarray(self.embedding, dtype=float)
-            if e.ndim == 1:
-                e = e[:, None]
-            if e.shape[0] != self.n:
-                raise ValueError("embedding must provide one point per state")
-            object.__setattr__(self, "embedding", e)
-        if self.boundary_distance is not None:
-            b = np.asarray(self.boundary_distance, dtype=float)
-            if b.shape != (self.n,) or (b < 0).any():
-                raise ValueError("boundary_distance must be n nonnegative reals")
-            object.__setattr__(self, "boundary_distance", b)
+        e = np.asarray(self.embedding, dtype=float)
+        if e.ndim == 1:
+            e = e[:, None]
+        if e.shape[0] != self.n:
+            raise ValueError("embedding must provide one point per state")
+        object.__setattr__(self, "embedding", e)
+        b = np.asarray(self.boundary_distance, dtype=float)
+        if b.shape != (self.n,) or (b < 0).any():
+            raise ValueError("boundary_distance must be n nonnegative reals")
+        object.__setattr__(self, "boundary_distance", b)
 
     def rho_boundary(self, i) -> float:
-        if i is CEMETERY:
-            return 0.0
-        if self.boundary_distance is not None:
-            return float(self.boundary_distance[i])
-        return 1.0
+        return 0.0 if i is CEMETERY else float(self.boundary_distance[i])
 
     def metric(self, i, j) -> float:
         if i is CEMETERY and j is CEMETERY:
@@ -243,9 +198,7 @@ class FiniteStateSpace:
             return self.rho_boundary(i)
         if i == j:
             return 0.0
-        if self.embedding is not None:
-            return float(np.linalg.norm(self.embedding[i] - self.embedding[j]))
-        return 1.0
+        return float(np.linalg.norm(self.embedding[i] - self.embedding[j]))
 
 
 def histogram_from_samples(grid: BinGrid, samples: np.ndarray) -> Measure:
@@ -262,28 +215,9 @@ def histogram_from_samples(grid: BinGrid, samples: np.ndarray) -> Measure:
     return Measure(grid, counts.ravel() / total)
 
 
-def coarsen_histogram(hist: Measure, factor: int) -> Measure:
-    """Re-express a histogram measure on a `factor`-times coarser nested grid."""
-    grid = hist.support
-    if not isinstance(grid, BinGrid):
-        raise TypeError("coarsen_histogram needs a histogram measure")
-    w = hist.weights.reshape(grid.shape)
-    for ax in range(w.ndim):
-        nb = w.shape[ax]
-        if nb % factor:
-            raise ValueError(f"axis {ax}: {nb} bins not divisible by {factor}")
-        shape = list(w.shape)
-        shape[ax] = nb // factor
-        shape.insert(ax + 1, factor)
-        w = w.reshape(shape).sum(axis=ax + 1)
-    return Measure(grid.coarsen(factor), w.ravel())
-
-
 def write_histogram_csv(path, hist: Measure) -> None:
     """Histogram CSV: bin_lo per axis, bin_hi per axis, weight."""
     grid = hist.support
-    if not isinstance(grid, BinGrid):
-        raise TypeError("need a histogram measure")
     lo, hi = grid.bounds()
     d = grid.dim
     cols = [f"bin_lo{k}" for k in range(d)] + [f"bin_hi{k}" for k in range(d)] + ["weight"]

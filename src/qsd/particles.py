@@ -149,7 +149,8 @@ def fleming_viot_run(
     Multiple absorptions in one step are resolved sequentially in particle
     index order (an O(dt) artifact); previously reborn particles count as
     alive donors.  The occupation measure time-averages the binned cloud
-    after `burn_in` (default horizon/2).
+    after `burn_in` (default horizon/2); a `burn_in` that leaves no step to
+    average is a ValueError, raised before any step.
     """
     if n < 2:
         raise ValueError("need at least 2 particles")
@@ -169,6 +170,8 @@ def fleming_viot_run(
             raise DomainError("initial cloud must lie in the open domain")
     n_steps = int(np.ceil(horizon / dt - 1e-9))
     burn_steps = int(np.ceil(burn_in / dt - 1e-9))
+    if burn_steps >= n_steps:
+        raise ValueError(f"burn_in {burn_in} leaves none of the {n_steps} steps of dt {dt} to accumulate")
     edges = grid.edge_arrays()
     occ = np.zeros(grid.size)
     rebirth_count = np.zeros(n_steps, dtype=np.int64)

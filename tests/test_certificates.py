@@ -6,24 +6,19 @@ import pytest
 from qsd import certificates
 from qsd.certificates import (
     ConditionACertificate,
-    NoMinorizationError,
     boundary_return_constant,
     decay_report_chain,
     decay_report_model,
     estimate_A1,
-    estimate_A1_chain,
     estimate_A2,
-    estimate_A2_chain,
     gradient_profile,
-    gradient_profile_chain,
     ht_profile,
-    ht_profile_chain,
     irreducibility_probe,
     minorize_laws,
 )
-from qsd.chains import FiniteAbsorbedChain, fit_two_sided
+from qsd.chains import FiniteAbsorbedChain, fit_two_sided, survival_ratio
 from qsd.domains import Ball, InnerCompact, Interval
-from qsd.measures import BinGrid, Measure, coarsen_histogram
+from qsd.measures import BinGrid, Measure
 from qsd.models import ConstantIsotropic, DiffusionModel, ZeroDrift, brownian_interval
 from qsd.report import VerificationReport
 from qsd.simulate import ZeroSurvivorError
@@ -60,21 +55,18 @@ def test_minorize_disjoint_laws_gives_zero():
     laws = np.array([[1.0, 0.0], [0.0, 1.0]])
     c1, _ = minorize_laws(laws)
     assert c1 == 0.0
-    q = np.array([[0.9, 0.0], [0.0, 0.9]])
-    with pytest.raises(NoMinorizationError):
-        estimate_A1_chain(FiniteAbsorbedChain(q), 1)
 
 
 def test_chain_a1_matches_exact_elementwise_min():
+    # the exact finite-chain analog of A1: the common part of the conditioned rows
     rng = np.random.default_rng(5)
     q = random_positive_chain(rng, 5, 0.9)
-    chain = FiniteAbsorbedChain(q)
-    c1, nu = estimate_A1_chain(chain, 2)
-    p = np.linalg.matrix_power(q, 2)
-    rows = p / p.sum(axis=1, keepdims=True)
-    m = rows.min(axis=0)
-    assert c1 == pytest.approx(m.sum(), abs=1e-12)
-    assert np.abs(nu.weights - m / m.sum()).max() < 1e-12
+    p = FiniteAbsorbedChain(q).power(2)
+    c1, m = minorize_laws(p / p.sum(axis=1, keepdims=True))
+    want = np.linalg.matrix_power(q, 2)
+    want = (want / want.sum(axis=1, keepdims=True)).min(axis=0)
+    assert c1 == pytest.approx(want.sum(), abs=1e-12)
+    assert np.abs(m / c1 - want / want.sum()).max() < 1e-12
 
 
 def test_diffusion_a1_positive_minorization():
@@ -91,9 +83,7 @@ def test_a1_monotone_under_bin_refinement():
     model = brownian_interval(0, PI)
     pts = np.array([[0.7], [PI / 2], [2.5]])
     a1_fine = estimate_A1(model, pts, 1.0, 32, 4000, 9, dt=2e-3)
-    laws_coarse = np.stack(
-        [coarsen_histogram(h, 4).weights for h in a1_fine.per_point]
-    )
+    laws_coarse = np.stack([h.weights.reshape(8, 4).sum(axis=1) for h in a1_fine.per_point])
     c1_coarse, _ = minorize_laws(laws_coarse)
     assert a1_fine.c1 <= c1_coarse + 1e-12
 
@@ -103,7 +93,7 @@ def test_a1_monotone_under_bin_refinement():
 
 def test_chain_a2_exact_ratio():
     chain = FiniteAbsorbedChain(SYM2)
-    c2 = estimate_A2_chain(chain, np.array([0.5, 0.5]), 50)
+    c2 = survival_ratio(chain, np.array([0.5, 0.5]), 50).c
     assert c2 == pytest.approx(1.0, abs=1e-12)  # equal survival from both states
 
 
@@ -236,21 +226,6 @@ def test_decay_report_model_pair_without_survivors_raises(monkeypatch):
 # --- gradient profile ----------------------------------------------------------------
 
 
-def test_gradient_frozen_model_is_zero():
-    model = frozen_model()
-    prof = gradient_profile(
-        model,
-        [0.5],
-        np.array([[0.3], [0.5], [0.7]]),
-        500,
-        3,
-        dts=[1e-2],
-        include_boundary=False,
-    )
-    assert prof.lipschitz[0] == 0.0
-    assert prof.max_survival[0] == 1.0
-
-
 @pytest.mark.parametrize(
     "domain,points",
     [
@@ -263,21 +238,11 @@ def test_gradient_cemetery_enters_through_boundary_distance(domain, points):
     # quotients are the cemetery pairs, 1 / rho_boundary(x)
     model = frozen_model(domain)
     pts = np.array(points)
-    prof = gradient_profile(model, [0.5], pts, 200, 5, dts=[1e-2], include_boundary=True)
+    prof = gradient_profile(model, [0.5], pts, 200, 5, dts=[1e-2])
     assert prof.max_survival[0] == 1.0
     assert prof.lipschitz[0] == 1.0 / domain.rho_boundary(pts).min()
     margin = next(c for c in prof.report.checks if c.name == "survival-below-L-rho-margin")
     assert margin.passed
-
-
-def test_gradient_chain_discrete_metric_is_range():
-    rng = np.random.default_rng(21)
-    q = rng.uniform(size=(4, 4))
-    q *= rng.uniform(0.4, 0.9, size=(4, 1)) / q.sum(axis=1, keepdims=True)
-    chain = FiniteAbsorbedChain(q)
-    for t in (1, 3):
-        L, surv = gradient_profile_chain(chain, t)
-        assert L == pytest.approx(surv.max() - surv.min(), abs=1e-15)
 
 
 def test_gradient_windowed_point_without_survivors_is_inconclusive():
@@ -377,23 +342,16 @@ def test_irreducibility_zero_successes_inconclusive():
 # --- h_t profile ----------------------------------------------------------------------
 
 
-def test_ht_chain_sym2_degenerate():
-    prof = ht_profile_chain(FiniteAbsorbedChain(SYM2), 3)
+def test_ht_frozen_model_is_degenerate():
+    # nothing moves or dies: every survival is 1, a flat h_t
+    pts = np.array([[0.3], [0.5], [0.7]])
+    prof = ht_profile(frozen_model(), 0.5, pts, 200, 3, dt=1e-2)
     assert prof.degenerate
     assert prof.z_index == 0  # tie resolves to the smallest index
+    assert prof.z_point[0] == 0.3
     assert prof.c_lipschitz == 0.0
     assert prof.k_prime_threshold is None
-
-
-def test_ht_chain_heterogeneous():
-    rng = np.random.default_rng(51)
-    q = rng.uniform(size=(4, 4))
-    q *= rng.uniform(0.4, 0.9, size=(4, 1)) / q.sum(axis=1, keepdims=True)
-    chain = FiniteAbsorbedChain(q)
-    prof = ht_profile_chain(chain, 4)
-    assert not prof.degenerate
-    assert prof.report.passed, prof.report.to_text()
-    assert prof.h[prof.z_index] == 1.0
+    assert [c.name for c in prof.report.checks] == ["degenerate-flat-profile"]
 
 
 def test_ht_bm_profile_close_to_sin():
@@ -402,6 +360,7 @@ def test_ht_bm_profile_close_to_sin():
     prof = ht_profile(model, 5.0, pts, 4000, 53, dt=2e-3, window=0.5)
     assert not prof.degenerate
     assert prof.report.passed, prof.report.to_text()
+    assert prof.h[prof.z_index] == 1.0
     assert abs(prof.z_point[0] - PI / 2) < 0.45
     want = np.sin(pts[:, 0])
     want = want / want.max()

@@ -12,13 +12,13 @@ from qsd.chains import (
     NoCertificateError,
     PrimitivityError,
     _conditioned_tv,
+    _pair_nu_raw,
     _power_iteration,
     _survival_ratios,
     _survival_vectors,
-    build_nu_xy,
+    check_condition_A_prime,
     evolve_conditioned,
     fit_two_sided,
-    infimum_measure,
     is_primitive,
     parse_chain_text,
     qsd_spectral,
@@ -409,42 +409,55 @@ def test_conditioned_tv_equals_the_step_loop_bit_for_bit(monkeypatch, n, pairs, 
 def test_survival_ratio_non_primitive_flag():
     q = np.array([[0.0, 0.9], [0.9, 0.0]])
     res = survival_ratio(FiniteAbsorbedChain(q), np.array([1.0, 0.0]), 10)
-    assert res.limit_unavailable
+    assert res.limit is None
     assert res.c == res.grid_min
 
 
 # --- infimum measures and nu_{x,y} ---------------------------------------------------
 
 
+def _infimum(chain, x, y, t):
+    """min(delta_x Q^t, delta_y Q^t): the pair kernel with unit weight on u = x and v = y."""
+    return _pair_nu_raw(chain.power(t)[[x, y]], np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))[0, 0]
+
+
+def _nu_xy(chain, K, t1, x, y):
+    """(nu_{x,y}, m_{x,y}) as `check_condition_A_prime` builds them."""
+    p2 = chain.power(2 * t1)
+    w = (p2 / p2.sum(axis=1, keepdims=True))[:, K]
+    raw = _pair_nu_raw(p2[K], w[[x]], w[[y]])[0, 0]
+    return raw / raw.sum(), raw.sum()
+
+
 def test_infimum_measure_self_is_row(sym2):
-    m = infimum_measure(sym2, 1, 1, 1)
-    assert np.allclose(m.weights, [0.2, 0.4])
+    assert np.allclose(_infimum(sym2, 1, 1, 1), [0.2, 0.4])
 
 
 def test_infimum_measure_sym2(sym2):
-    m = infimum_measure(sym2, 0, 1, 1)
-    assert np.allclose(m.weights, [0.2, 0.2])
-    assert m.mass == pytest.approx(0.4)
+    m = _infimum(sym2, 0, 1, 1)
+    assert np.allclose(m, [0.2, 0.2])
+    assert m.sum() == pytest.approx(0.4)
 
 
 def test_infimum_measure_disjoint_rows():
     q = np.array([[0.0, 0.9], [0.45, 0.45]])
-    m = infimum_measure(FiniteAbsorbedChain(q), 0, 1, 1)
-    assert m.weights[0] == 0.0
-    assert m.mass == pytest.approx(min(0.9, 0.45))
+    m = _infimum(FiniteAbsorbedChain(q), 0, 1, 1)
+    assert m[0] == 0.0
+    assert m.sum() == pytest.approx(min(0.9, 0.45))
 
 
 def test_nu_xy_single_state():
     # m is the mass of the two-step infimum law: here P_0(2 < tau) = 0.7^2
     chain = FiniteAbsorbedChain(np.array([[0.7]]))
-    nu, m = build_nu_xy(chain, np.array([0]), 1, 0, 0)
-    assert nu.weights[0] == pytest.approx(1.0)
+    nu, m = _nu_xy(chain, np.array([0]), 1, 0, 0)
+    assert nu[0] == pytest.approx(1.0)
     assert m == pytest.approx(0.49, abs=1e-15)
+    assert check_condition_A_prime(chain, np.array([0]), 1).c1 == m
 
 
 def test_nu_xy_sym2_uniform(sym2):
-    nu, m = build_nu_xy(sym2, np.array([0, 1]), 1, 0, 1)
-    assert np.allclose(nu.weights, [0.5, 0.5], atol=1e-14)
+    nu, m = _nu_xy(sym2, np.array([0, 1]), 1, 0, 1)
+    assert np.allclose(nu, [0.5, 0.5], atol=1e-14)
 
 
 def test_nu_xy_matches_double_sum_oracle():
@@ -452,9 +465,9 @@ def test_nu_xy_matches_double_sum_oracle():
     q = random_positive_chain(rng, 4, 0.85)
     chain = FiniteAbsorbedChain(q)
     K = np.array([0, 2, 3])
-    nu, m = build_nu_xy(chain, K, 1, 1, 3)
+    nu, m = _nu_xy(chain, K, 1, 1, 3)
     for _ in range(10):
         f = rng.uniform(size=4)
         want, m_want = nu_xy_brute(q, K, 1, 1, 3, f)
-        assert float(nu.weights @ f) == pytest.approx(want, abs=1e-12)
+        assert float(nu @ f) == pytest.approx(want, abs=1e-12)
         assert m == pytest.approx(m_want, abs=1e-12)

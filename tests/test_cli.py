@@ -565,3 +565,35 @@ def test_diffusion_kinds_reject_bad_counts(tmp_path, capsys, kind, key, value, f
     err = capsys.readouterr().err
     assert f"field '{key}' in [params] {fragment}, got {value}" in err and err.count("\n") == 1
     assert not (tmp_path / "o" / "report.txt").exists()
+
+
+# one changed line of a benchmark config per case: (kind, key of the line,
+# its replacement, the error).  Each used to end in a ValueError traceback,
+# except a third window, which was ignored, and dt = 2.0, which wrote NaN
+# occupation weights and exited 0
+BAD_FIELDS = [
+    ("scale1d", "a", "a = -0.5", "field 'a' in [params] must be at least 0.0, got -0.5"),
+    ("scale1d", "eps1", "eps1 = 0", "field 'eps1' in [params] must be positive, got 0.0"),
+    ("scale1d", "eps1", "eps0 = -1", "field 'eps0' in [params] must be positive, got -1.0"),
+    ("scale1d", "u_grid", "u_grid = 0.125 0.5", "field 'u_grid' in [params] must be inside (0, eps1/2) = (0, 0.5), got 0.5"),
+    ("scale1d", "u_grid", "u_grid = 0 0.25", "field 'u_grid' in [params] must be inside (0, eps1/2) = (0, 0.5), got 0.0"),
+    ("gradient", "dts", "dts = 5e-3", "field 'dts' in [params] must be 2 numbers, one per time, got 1"),
+    ("gradient", "windows", "windows = 0.25 0.25 0.25", "field 'windows' in [params] must be 2 numbers, one per time, got 3"),
+    ("gradient", "points", "points = 0.0 0.0  0.3", "field 'points' in [params] must be a nonzero multiple of 2 numbers, got 3"),
+    ("boundary-return", "points", "points = 0.05", "field 'points' in [params] must be a nonzero multiple of 2 numbers, got 1"),
+    ("fleming-viot", "burn_in", "burn_in = 1.0", "field 'burn_in' in [params] must be at most 0.998, a step before the horizon, got 1.0"),
+    ("fleming-viot", "burn_in", "burn_in = 0.998", "field 'burn_in' in [params] must be at most 0.995, the last rebirth-rate time, got 0.998"),
+    ("fleming-viot", "dt", "dt = 2.0", "field 'horizon' in [params] must be at least 2.0, got 1.0"),
+]
+
+
+@pytest.mark.parametrize("kind,key,line,message", BAD_FIELDS)
+def test_diffusion_kinds_reject_bad_fields(tmp_path, capsys, kind, key, line, message):
+    text = (ROOT / "perfbench" / "configs" / f"{kind.replace('-', '_')}.cfg").read_text()
+    text, hits = re.subn(rf"^{key} = .*$", line, text, flags=re.M)
+    assert hits == 1
+    cfg = write(tmp_path, "bad.cfg", text)
+    assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {cfg}: {message}\n"
+    assert not any((tmp_path / "o").iterdir())  # no artifact written

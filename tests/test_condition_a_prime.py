@@ -5,13 +5,12 @@ from qsd.chains import (
     EmptyOverlapError,
     FiniteAbsorbedChain,
     PrimitivityError,
-    build_nu_xy,
     check_condition_A_prime,
     evolve_conditioned,
 )
 from qsd.measures import tv_distance
 
-from oracles import condition_A_prime_brute, random_positive_chain
+from oracles import condition_A_prime_brute, nu_xy_brute, random_positive_chain
 
 SYM2 = np.array([[0.4, 0.2], [0.2, 0.4]])
 
@@ -58,10 +57,12 @@ def test_mass_bound_eq_3_12():
     inf_mass = min(
         np.minimum(p2[u], p2[v]).sum() for u in K for v in K
     )
-    for x in range(4):
-        for y in range(4):
-            _, m = build_nu_xy(chain, K, 1, x, y)
-            assert m >= A**2 * inf_mass - 1e-12
+    masses = [nu_xy_brute(q, K, 1, x, y, np.ones(4))[1] for x in range(4) for y in range(4)]
+    margin = min(masses) - A**2 * inf_mass
+    check = next(c for c in check_condition_A_prime(chain, K, 1).report.checks if c.name == "mass-lower-bound-margin")
+    assert check.passed
+    assert check.measured == pytest.approx(margin, abs=1e-12)
+    assert check.measured >= -1e-12
 
 
 @pytest.mark.parametrize("t1", [1, 2])
@@ -83,7 +84,8 @@ def test_c1_is_min_of_nu_xy_masses():
     chain = FiniteAbsorbedChain(random_positive_chain(rng, 5, 0.85))
     K = np.array([1, 3, 4])
     res = check_condition_A_prime(chain, K, 1, horizon=30)
-    masses = [build_nu_xy(chain, K, 1, x, y)[1] for x in range(5) for y in range(5)]
+    q = chain.kernel
+    masses = [nu_xy_brute(q, K, 1, x, y, np.ones(5))[1] for x in range(5) for y in range(5)]
     assert min(masses) == pytest.approx(res.c1, rel=1e-12)
 
 
@@ -102,18 +104,13 @@ def test_reducible_chain_raises():
 
 
 def test_disjoint_supports_empty_overlap():
-    # two transient states feeding separate absorbing-ish cycles
-    q = np.array(
-        [
-            [0.9, 0.0, 0.0, 0.0],
-            [0.0, 0.9, 0.0, 0.0],
-            [0.9, 0.0, 0.0, 0.0],
-            [0.0, 0.9, 0.0, 0.0],
-        ]
-    )
-    chain = FiniteAbsorbedChain(q)
-    with pytest.raises(EmptyOverlapError):
-        build_nu_xy(chain, np.array([0, 1]), 1, 0, 1)
+    # a 5-cycle with one chord: primitive, but at t1 = 1 the two-step laws
+    # from 0 and 1 sit on states 2 and 3, whose own two-step laws are disjoint
+    q = np.zeros((5, 5))
+    q[[0, 1, 2, 3], [1, 2, 3, 4]] = 0.9
+    q[4, :2] = 0.45
+    with pytest.raises(EmptyOverlapError, match=r"nu_\(0,1\) has zero mass"):
+        check_condition_A_prime(FiniteAbsorbedChain(q), np.arange(5), 1)
 
 
 def test_zero_horizon_is_an_error():

@@ -7,12 +7,9 @@ from qsd.measures import (
     CEMETERY,
     BinGrid,
     FiniteStateSpace,
-    FiniteSupport,
     InsufficientPointsError,
     Measure,
     SupportMismatchError,
-    coarsen_histogram,
-    distribution,
     histogram_from_samples,
     lipschitz_constant,
     tv_distance,
@@ -37,8 +34,8 @@ def test_tv_direct_summation():
 
 
 def test_tv_support_mismatch():
-    a = Measure(FiniteSupport(2), np.array([0.5, 0.5]))
-    b = Measure(FiniteSupport(3), np.array([0.3, 0.3, 0.4]))
+    a = Measure(BinGrid.regular(0.0, 1.0, 2), np.array([0.5, 0.5]))
+    b = Measure(BinGrid.regular(0.0, 2.0, 2), np.array([0.5, 0.5]))  # same size, other bins
     with pytest.raises(SupportMismatchError):
         tv_distance(a, b)
     grid = BinGrid.regular(0.0, 1.0, 4)
@@ -59,13 +56,14 @@ def test_tv_triangle_and_range(a, b, c):
 
 
 def test_measure_validation():
+    grid = BinGrid.regular(0.0, 1.0, 2)
     with pytest.raises(ValueError):
-        Measure(FiniteSupport(2), np.array([0.5, -0.1]))
+        Measure(grid, np.array([0.5, -0.1]))
     with pytest.raises(ValueError):
-        distribution(FiniteSupport(2), np.array([0.5, 0.4]))
-    m = Measure(FiniteSupport(2), np.array([0.2, 0.3]))
+        Measure(grid, np.array([0.2, 0.3, 0.5]))
+    m = Measure(grid, np.array([0.2, 0.3]))
     assert m.mass == pytest.approx(0.5)
-    assert m.normalized().is_distribution
+    assert not m.is_distribution
 
 
 def test_lipschitz_constant_function_is_zero():
@@ -104,26 +102,23 @@ def test_lipschitz_shift_invariance(ks, shift):
 
 
 def test_finite_state_space_metric():
-    sp = FiniteStateSpace(3)
-    assert sp.metric(0, 1) == 1.0
-    assert sp.metric(2, 2) == 0.0
-    assert sp.metric(0, CEMETERY) == 1.0
-    assert sp.rho_boundary(CEMETERY) == 0.0
     emb = FiniteStateSpace(3, embedding=np.array([0.0, 1.0, 3.0]), boundary_distance=np.array([0.5, 1.0, 0.2]))
+    assert emb.metric(2, 2) == 0.0
     assert emb.metric(0, 2) == pytest.approx(3.0)
     assert emb.metric(1, CEMETERY) == pytest.approx(1.0)
+    assert emb.metric(CEMETERY, 2) == pytest.approx(0.2)
+    assert emb.rho_boundary(CEMETERY) == 0.0
 
 
 def test_histogram_and_coarsen():
     grid = BinGrid.regular(0.0, 1.0, 8)
     g = np.random.default_rng(0)
-    h = histogram_from_samples(grid, g.random(1000))
+    samples = g.random(1000)
+    h = histogram_from_samples(grid, samples)
     assert h.is_distribution
-    coarse = coarsen_histogram(h, 2)
-    assert coarse.support.size == 4
-    assert coarse.is_distribution
-    # mass is conserved bin-pairwise
-    assert coarse.weights[0] == pytest.approx(h.weights[0] + h.weights[1])
+    # the histogram on the nested grid of 4 bins is the bin-pairwise sum
+    coarse = histogram_from_samples(BinGrid.regular(0.0, 1.0, 4), samples)
+    assert np.allclose(coarse.weights, h.weights.reshape(4, 2).sum(axis=1), rtol=0, atol=1e-15)
 
 
 def test_bin_grid_2d():

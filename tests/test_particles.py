@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from qsd.chains import FiniteAbsorbedChain, evolve_conditioned, qsd_spectral
-from qsd.measures import BinGrid, coarsen_histogram, tv_distance
+from qsd.measures import BinGrid, tv_distance
 from qsd.models import ConstantIsotropic, DiffusionModel, LinearDrift, brownian_interval, build_model
 from qsd.domains import Interval
+from qsd import particles
 from qsd.particles import (
     ExtinctionError,
     _bin_index,
@@ -77,6 +78,25 @@ def test_fv_extinction_error():
         fleming_viot_run(model, 4, 1.0, 8, 2, dt=0.5, init=init)
 
 
+@pytest.mark.parametrize(
+    "horizon,dt,burn_in",
+    [(1.0, 0.02, 1.0), (1.0, 0.02, 0.99), (1.0, 0.02, 2.0), (1.0, 2.0, None), (0.02, 0.02, None)],
+)
+def test_fv_burn_in_without_a_step_to_accumulate_raises_before_any_step(monkeypatch, horizon, dt, burn_in):
+    # each used to return NaN occupation weights: no step was accumulated
+    stepped = []
+    monkeypatch.setattr(particles, "_step", lambda *a: stepped.append(1))
+    with pytest.raises(ValueError, match="burn_in .* leaves none of the"):
+        fleming_viot_run(brownian_interval(0, PI), 50, horizon, 8, 3, dt=dt, burn_in=burn_in)
+    assert not stepped
+
+
+def test_fv_burn_in_at_the_last_step_accumulates_it():
+    res = fleming_viot_run(brownian_interval(0, PI), 50, 1.0, 8, 3, dt=0.02, burn_in=0.98)
+    assert res.occupation.is_distribution
+    assert np.array_equal(res.occupation.weights, res.final_histogram.weights)
+
+
 def test_fv_occupation_close_to_sin_profile_small_run():
     model = brownian_interval(0, PI)
     res = fleming_viot_run(model, 2000, 4.0, 32, 31, dt=1e-3, burn_in=2.0)
@@ -147,9 +167,9 @@ def test_lambda0_bm_unit_interval():
 def test_coarsened_rejection_histogram_nests():
     model = brownian_interval(0, PI)
     hist, _ = conditional_rejection(model, [1.0], 1.0, 20_000, 32, 81, dt=1e-3)
-    coarse = coarsen_histogram(hist, 2)
+    coarse, _ = conditional_rejection(model, [1.0], 1.0, 20_000, 16, 81, dt=1e-3)  # the same paths
     assert coarse.support.size == 16
-    assert coarse.weights.sum() == pytest.approx(1.0)
+    assert np.allclose(coarse.weights, hist.weights.reshape(16, 2).sum(axis=1), rtol=0, atol=1e-15)
 
 
 # --- Fleming-Viot kernels against their sequential references -----------------------

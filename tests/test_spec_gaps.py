@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from qsd.certificates import ConditionACertificate, estimate_A2_chain
-from qsd.chains import FiniteAbsorbedChain, qsd_spectral
+from qsd.certificates import ConditionACertificate
+from qsd.chains import FiniteAbsorbedChain, qsd_spectral, survival_ratio
 from qsd.measures import BinGrid, FiniteStateSpace, Measure, lipschitz_constant, CEMETERY
 from qsd.models import brownian_interval, build_model
 from qsd.simulate import PathConfig, simulate_path, survival_probability
@@ -14,7 +14,7 @@ from oracles import brute_force_survival_ratio, reflection_survival
 
 def test_metric_axioms_on_sampled_triples():
     rng = np.random.default_rng(0)
-    sp = FiniteStateSpace(5, embedding=rng.normal(size=(5, 2)))
+    sp = FiniteStateSpace(5, embedding=rng.normal(size=(5, 2)), boundary_distance=rng.uniform(size=5))
     for _ in range(50):
         i, j, k = rng.integers(0, 5, size=3)
         assert sp.metric(i, j) == sp.metric(j, i)
@@ -64,13 +64,13 @@ def test_ball_paths_stay_inside_and_reproduce():
     assert (np.linalg.norm(p1.positions, axis=1) < 1.0).all()
 
 
-def test_estimate_A2_chain_matches_brute_force():
+def test_survival_ratio_c_matches_brute_force():
     rng = np.random.default_rng(3)
     q = rng.uniform(size=(4, 4))
     q *= rng.uniform(0.4, 0.9, size=(4, 1)) / q.sum(axis=1, keepdims=True)
     chain = FiniteAbsorbedChain(q)
     nu = np.array([0.1, 0.2, 0.3, 0.4])
-    got = estimate_A2_chain(chain, nu, 500)
+    got = survival_ratio(chain, nu, 500).c
     want = brute_force_survival_ratio(q, nu, 500)
     spec = qsd_spectral(chain)
     want = min(want, float(nu @ spec.eta) / float(spec.eta.max()))
