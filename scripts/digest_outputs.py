@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""One sha256 per named output of the Monte-Carlo engine, for bit-for-bit checks.
+"""One sha256 per named output of both engines, for bit-for-bit checks.
 
     python3 scripts/digest_outputs.py [--small] > digests.txt
 
@@ -10,12 +10,15 @@ a disc and a 3-d box (constant and Hoelder diagonal fields), with the
 bridge correction on and off where the estimator takes it; the
 natural-scale exit loop; many uneven batches admitted while others step
 (a small coordinate cap set inside the script) on a 2-d box, a 3-d ball
-and `MatrixField` models, and five exit-loop starts; and the bundled
-configs of `configs/` and `perfbench/configs/` run through the CLI (every
-file written, the captured standard output and the exit status).  An estimator that raises is
-digested as its exception.  `--small` shrinks the path counts and horizons
-and runs only the two fast bundled configs, for a smoke run of a few
-seconds.
+and `MatrixField` models, and five exit-loop starts; every exact-engine
+criterion on dense chains (n = 5, 40) and killed lazy walks (n = 80, 160,
+512), with `chain/past-cap/` cases at n = 520, past the dense-eig cap; and
+the bundled configs of `configs/` and `perfbench/configs/` run through the
+CLI (every file written, the captured standard output and the exit
+status).  An estimator that raises is digested as its exception.
+`--small` shrinks the path counts and horizons, keeps the chains at
+n <= 40 and runs only the two fast bundled configs, for a smoke run of a
+few seconds.
 Only numpy is needed.
 """
 
@@ -39,7 +42,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from qsd import certificates as certs  # noqa: E402
-from qsd import particles, scale1d, simulate  # noqa: E402
+from qsd import chains, particles, scale1d, simulate  # noqa: E402
 from qsd.cli import main as qsd_main  # noqa: E402
 from qsd.config import ExperimentConfig  # noqa: E402
 from qsd.domains import Ball, BallTarget, InnerCompact  # noqa: E402
@@ -208,6 +211,48 @@ def admission_cases(small: bool):
     return cases + [("admission/scale1d/_exit_mc", _small_stack(run, 5 * n))]
 
 
+def _band(n):
+    """Lazy random walk killed at both ends: slow mixing, Q^t positive from t = n - 1."""
+    return 0.995 * (0.5 * np.eye(n) + 0.25 * (np.eye(n, k=1) + np.eye(n, k=-1)))
+
+
+def _dense(n):
+    """A random positive chain with row sums 0.9."""
+    q = np.random.default_rng(n).uniform(size=(n, n))
+    return q * (0.9 / q.sum(axis=1, keepdims=True))
+
+
+def _certified(fn, chain, t0):
+    """`fn(chain, cert)` with the two-sided certificate of `chain` at t0."""
+    return lambda: fn(chain, chains.fit_two_sided(chain, t0))
+
+
+def chain_cases(small: bool):
+    """(name, call) for every exact-engine criterion on dense chains (n = 5, 40)
+    and killed lazy walks up to the dense-eig cap (n = 80, 160, 512) and past
+    it (n = 520).  Each chain is built once, so its cache serves every case.
+    Condition (A') runs up to n = 160: its measures are an n^3 tensor."""
+    sizes = [("dense", 5), ("dense", 40)] + ([] if small else [("band", 80), ("band", 160), ("band", 512), ("band", 520)])
+    cases = []
+    for kind, n in sizes:
+        chain = chains.FiniteAbsorbedChain(_dense(n) if kind == "dense" else _band(n))
+        name = f"chain/{'past-cap/' if n > chains.DENSE_EIG_MAX_N else ''}{kind}{n}"
+        t0 = 1 if kind == "dense" else 2 * n  # Q^n of the walk at n = 520 is subnormal in a corner
+        laws = np.random.default_rng(n + 1).exponential(size=(2, 2, n))
+        laws /= laws.sum(axis=2, keepdims=True)
+        K, t1 = (np.arange(n), 1) if kind == "dense" else (np.arange(n // 4, 3 * n // 4), n)
+        cases += [
+            (f"{name}/qsd_spectral", partial(chains.qsd_spectral, chain)),
+            (f"{name}/fit_two_sided", partial(chains.fit_two_sided, chain, t0)),
+            (f"{name}/verify_theorem_2_1", _certified(partial(chains.verify_theorem_2_1, n_pairs=2, t_max=50, seed=n), chain, t0)),
+            (f"{name}/survival_ratio", partial(chains.survival_ratio, chain, laws[0, 0], 100)),
+            (f"{name}/decay_report_chain", _certified(partial(certs.decay_report_chain, pairs=laws, t_max=50), chain, t0)),
+        ]
+        if n <= 160:
+            cases.append((f"{name}/check_condition_A_prime", partial(chains.check_condition_A_prime, chain, K, t1, horizon=100)))
+    return cases
+
+
 def _run_cli(cfg: str):
     """Exit status, captured output and every file written, for one config
     run from the repository root into a fresh directory."""
@@ -236,7 +281,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--small", action="store_true", help="small sizes and the bundled configs only")
     args = parser.parse_args(argv)
-    for name, fn in estimator_cases(args.small) + admission_cases(args.small) + cli_cases(args.small):
+    for name, fn in estimator_cases(args.small) + admission_cases(args.small) + chain_cases(args.small) + cli_cases(args.small):
         print(f"{digest(fn)}  {name}", flush=True)
     return 0
 

@@ -467,10 +467,9 @@ def gradient_profile(
     `windows[k]` > 0 switches time k to the windowed-splitting estimator.
     """
     times = [float(t) for t in times]
-    dts = list(dts)
-    if len(dts) != len(times):
-        raise ValueError("need one dt per time")
-    windows = list(windows) if windows is not None else [0.0] * len(times)
+    dts, windows = list(dts), list(windows) if windows is not None else [0.0] * len(times)
+    if len(dts) != len(times) or len(windows) != len(times):
+        raise ValueError(f"need one dt and one window per time: {len(times)} times, got {len(dts)} and {len(windows)}")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     space = _grid_space(model, pts)
     labels = list(range(len(pts))) + [CEMETERY]

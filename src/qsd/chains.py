@@ -4,7 +4,8 @@ A chain is a substochastic kernel Q on states {0..n-1}; the mass missing
 from each row is sent to the cemetery.  Everything here is exact (up to
 floating point): conditioned evolution, quasi-stationary spectra,
 two-sided-estimate certificates, and the minorization objects built from
-infimum measures.
+infimum measures.  Past DENSE_EIG_MAX_N states the Perron vectors come
+from power iteration on (sigma I - Q)^-1; `SpectralData.iterations` counts it.
 
 Each chain caches what depends on its kernel alone: the primitivity
 verdict, the Perron data of `qsd_spectral`, the read-only matrix powers
@@ -19,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import tv_distance
 from .report import VerificationReport
 from .rng import step_generator
 
@@ -39,7 +39,7 @@ class PrimitivityError(ValueError):
 
 
 class IterationLimitError(RuntimeError):
-    """Power iteration did not converge within the iteration cap."""
+    """The Green iteration did not converge within POWER_MAX_ITER steps."""
 
 
 class NoCertificateError(ValueError):
@@ -176,7 +176,7 @@ class SpectralData:
     eta: survival eigenfunction (right Perron vector, sup-norm 1);
     lambda0 = -ln(perron)/dt; second_modulus: largest non-Perron
     eigenvalue modulus (None when n exceeds the dense-eig cap);
-    iterations: power-iteration steps taken (0 on the dense path).
+    iterations: Green-iteration steps taken (0 on the dense path).
     """
 
     alpha: np.ndarray
@@ -187,26 +187,20 @@ class SpectralData:
     iterations: int
 
 
-def qsd_spectral(
-    chain: FiniteAbsorbedChain,
-    tol: float = POWER_TOL,
-    max_iter: int = POWER_MAX_ITER,
-) -> SpectralData:
+def qsd_spectral(chain: FiniteAbsorbedChain) -> SpectralData:
     """Left/right Perron vectors, Perron value and second eigenvalue modulus.
 
     For n <= DENSE_EIG_MAX_N the vectors are dense eigenvectors of Q and Q^T
     for the eigenvalue of largest real part; beyond the cap they come from
-    renormalized power iteration, the only path `tol` and `max_iter` apply
-    to.  perron is the Rayleigh quotient alpha Q eta / alpha eta.  Cached
-    on the chain, with read-only vectors.
+    `_green_iteration`.  perron is the Rayleigh quotient alpha Q eta /
+    alpha eta.  Cached on the chain, with read-only vectors.
     """
     if not is_primitive(chain):
         raise PrimitivityError(
             "kernel is not primitive; quasi-stationary distribution may be non-unique"
         )
-    key = ("spectral", tol, max_iter)
-    if key in chain._cache:
-        return chain._cache[key]
+    if "spectral" in chain._cache:
+        return chain._cache["spectral"]
     q = chain.kernel
     n = chain.n
     if n <= DENSE_EIG_MAX_N:
@@ -220,7 +214,7 @@ def qsd_spectral(
         second = float(mods[1]) if n > 1 else 0.0
         iterations = 0
     else:
-        alpha, eta, iterations = _power_iteration(q, tol, max_iter)
+        alpha, eta, iterations = _green_iteration(q)
         second = None
     perron = float(alpha @ q @ eta) / float(alpha @ eta)
     alpha.flags.writeable = eta.flags.writeable = False  # shared by every caller
@@ -232,39 +226,31 @@ def qsd_spectral(
         second_modulus=second,
         iterations=iterations,
     )
-    chain._cache[key] = spec
+    chain._cache["spectral"] = spec
     return spec
 
 
-def _power_iteration(
-    q: np.ndarray, tol: float, max_iter: int
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """(alpha, eta, iterations) by renormalized power iteration on q and q^T."""
-    n = q.shape[0]
-    alpha = np.full(n, 1.0 / n)
-    it_a = 0
-    for it_a in range(1, max_iter + 1):
-        nxt = alpha @ q
-        nxt /= nxt.sum()
-        if tv_distance(nxt, alpha) < tol:
-            alpha = nxt
-            break
-        alpha = nxt
-    else:
-        raise IterationLimitError(f"left power iteration: no convergence in {max_iter}")
+def _green_iteration(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """(alpha, eta, iterations) by renormalized power iteration on G = (sigma I - Q)^-1.
 
-    eta = np.full(n, 1.0)
-    it_e = 0
-    for it_e in range(1, max_iter + 1):
-        nxt = q @ eta
-        nxt /= np.abs(nxt).max()
-        if np.abs(nxt - eta).sum() < tol:
-            eta = nxt
-            break
-        eta = nxt
-    else:
-        raise IterationLimitError(f"right power iteration: no convergence in {max_iter}")
-    return alpha, eta, max(it_a, it_e)
+    sigma, the largest row sum times 1 + 2^-20, lies above the Perron root,
+    so G is nonnegative with the Perron vectors of Q; both converge at the
+    rate (sigma - perron) / min |sigma - lambda| over the other eigenvalues.
+    sigma = 1 would make sigma I - Q singular for a chain without killing.
+    Stops once both vectors move less than POWER_TOL in L1.
+    """
+    n = q.shape[0]
+    g = np.linalg.inv(q.sum(axis=1).max() * (1 + 2**-20) * np.eye(n) - q)
+    alpha, eta = np.full(n, 1.0 / n), np.ones(n)
+    for it in range(1, POWER_MAX_ITER + 1):
+        a, e = alpha @ g, g @ eta
+        a /= a.sum()
+        e /= e.max()
+        moved = max(np.abs(a - alpha).sum(), np.abs(e - eta).sum())
+        alpha, eta = a, e
+        if moved < POWER_TOL:
+            return alpha, eta, it
+    raise IterationLimitError(f"Green iteration: no convergence in {POWER_MAX_ITER} steps")
 
 
 def evolve_conditioned(

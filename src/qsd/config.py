@@ -103,12 +103,14 @@ class ExperimentConfig:
         """The one-line error for a field whose value is not `must`."""
         return ConfigError(f"{self.path}: field {key!r} in [{section}] must be {must}, got {got}")
 
-    def positive(self, value: float, section: str, key: str) -> float:
-        if value <= 0:
-            raise self.invalid(section, key, "positive", value)
+    def positive(self, value, section: str, key: str):
+        """`value`, a number or a list of numbers, once each one is positive."""
+        if bad := [v for v in (value if isinstance(value, list) else [value]) if not v > 0]:
+            raise self.invalid(section, key, "positive", bad[0])
         return value
 
-    def at_least(self, value: float, least: float, section: str, key: str) -> float:
-        if value < least:
-            raise self.invalid(section, key, f"at least {least}", value)
+    def at_least(self, value, least: float, section: str, key: str):
+        """`value`, a number or a list of numbers, once none is below `least`."""
+        if bad := [v for v in (value if isinstance(value, list) else [value]) if not v >= least]:
+            raise self.invalid(section, key, f"at least {least}", bad[0])
         return value

@@ -158,7 +158,7 @@ def run_fleming_viot(cfg: ExperimentConfig, out: str, seed: int):
     horizon = cfg.at_least(cfg.get_float("params", "horizon"), dt, "params", "horizon")  # one step at least
     n = cfg.at_least(cfg.get_int("params", "n"), 2, "params", "n")
     bins = cfg.positive(cfg.get_int("params", "bins", 64), "params", "bins")
-    burn_in = cfg.get_float("params", "burn_in", horizon / 2)
+    burn_in = cfg.at_least(cfg.get_float("params", "burn_in", horizon / 2), 0.0, "params", "burn_in")
     burn_steps, n_steps = _snap_steps([burn_in, horizon], dt)
     if burn_steps >= n_steps:
         raise cfg.invalid("params", "burn_in", f"at most {(n_steps - 1) * dt:g}, a step before the horizon", burn_in)
@@ -190,8 +190,8 @@ def run_certify_A(cfg: ExperimentConfig, out: str, seed: int):
     dt = cfg.positive(cfg.get_float("params", "dt"), "params", "dt")
     bins = cfg.positive(cfg.get_int("params", "bins", 32), "params", "bins")
     budget = cfg.at_least(cfg.get_int("params", "n", 20000), 100, "params", "n")
-    times = cfg.get_floats("params", "times")
-    t0s = cfg.get_floats("params", "t0_candidates")
+    times = cfg.at_least(cfg.get_floats("params", "times"), 0.0, "params", "times")
+    t0s = cfg.positive(cfg.get_floats("params", "t0_candidates"), "params", "t0_candidates")
     grid = certs.default_probe_grid(model, times, budget, seed=substream(seed, 4))
     cert = certs.certify_condition_A(
         model, grid, t0s, bins, substream(seed, 5), dt=dt
@@ -221,9 +221,9 @@ def _points(cfg: ExperimentConfig, dim: int) -> np.ndarray:
 
 def run_gradient(cfg: ExperimentConfig, out: str, seed: int):
     model = _load_model(cfg)
-    times = cfg.get_floats("params", "times")
-    dts = cfg.get_floats("params", "dts")
-    windows = cfg.get_floats("params", "windows", [0.0] * len(times))
+    times = cfg.at_least(cfg.get_floats("params", "times"), 0.0, "params", "times")
+    dts = cfg.positive(cfg.get_floats("params", "dts"), "params", "dts")
+    windows = cfg.at_least(cfg.get_floats("params", "windows", [0.0] * len(times)), 0.0, "params", "windows")
     for key, vals in (("dts", dts), ("windows", windows)):
         if len(vals) != len(times):
             raise cfg.invalid("params", key, f"{len(times)} numbers, one per time", len(vals))
@@ -256,7 +256,9 @@ def run_boundary_return(cfg: ExperimentConfig, out: str, seed: int):
     # heuristic defaults: K = M_eps at a quarter inradius, t1 at the
     # diffusive crossing time of that collar
     eps = cfg.get_float("params", "eps", model.domain.inradius / 4.0)
-    t1 = cfg.get_float("params", "t1", eps**2 / model.sigma_max2)
+    if not 0 < eps < model.domain.inradius:
+        raise cfg.invalid("params", "eps", f"inside (0, inradius) = (0, {model.domain.inradius:g})", eps)
+    t1 = cfg.positive(cfg.get_float("params", "t1", eps**2 / model.sigma_max2), "params", "t1")
     n = cfg.at_least(cfg.get_int("params", "n", 100000), 100, "params", "n")
     points = _points(cfg, model.dim)
     res = certs.boundary_return_constant(
@@ -313,7 +315,7 @@ def run_decay_report(cfg: ExperimentConfig, out: str, seed: int):
         return report, False
     model = _load_model(cfg)
     dt = cfg.positive(cfg.get_float("params", "dt"), "params", "dt")
-    times = cfg.get_floats("params", "times")
+    times = cfg.at_least(cfg.get_floats("params", "times"), 0.0, "params", "times")
     x = cfg.get_floats("params", "x")
     y = cfg.get_floats("params", "y")
     n = cfg.at_least(cfg.get_int("params", "n", 100000), 100, "params", "n")

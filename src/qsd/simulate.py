@@ -248,12 +248,15 @@ class SnapshotResult:
 
 
 def _snap_steps(times, dt) -> list[int]:
+    """The step of each time; dt <= 0 or a negative time is a ValueError."""
+    if dt <= 0 or any(t < 0 for t in times):
+        raise ValueError("dt must be positive and every time at least 0")
     return [int(np.ceil(t / dt - 1e-9)) for t in times]
 
 
 def _snapshots(model, clouds, times, dt, seeds, *, bridge=True, keep_positions=(), after=None):
     """`survival_snapshots` of every cloud k on seeds[k], in order, in one
-    stepping loop.  Every cloud is checked before any step.
+    stepping loop.  Every cloud, dt and time is checked before any step.
 
     The live paths are one (n, d) array held by `_columns`, each batch's rows
     in order, and a step is one `_step`.  Each batch has its own step and
@@ -276,7 +279,7 @@ def _snapshots(model, clouds, times, dt, seeds, *, bridge=True, keep_positions=(
     times = sorted(float(t) for t in times)
     snap = _snap_steps(times, dt)
     at = {s: [ti for ti, t in enumerate(snap) if t == s] for s in snap}  # the snapshots of each step
-    keep = {int(np.ceil(t / dt - 1e-9)) for t in keep_positions}
+    keep = set(_snap_steps(keep_positions, dt))
     shared, n_steps = np.ndim(seeds) == 0, max(snap) if snap else 0
     solo = not shared and after is None  # each batch admitted and retired on its own
     queue = [([k], c.size) for k, c in enumerate(clouds)] if solo else [(range(len(clouds)), sum(map(np.size, clouds)))]
@@ -399,7 +402,7 @@ def tube_probability(
     """MC estimate of P_x(X_s in B(y, r) for every sample time in [t1, 2 t1])."""
     pos = _start_cloud(model, x, n)
     center = np.atleast_1d(np.asarray(y, dtype=float))
-    k1 = int(np.ceil(t1 / dt - 1e-9))
+    [k1] = _snap_steps([t1], dt)
 
     def in_tube(step, idx, state):  # kills the paths outside B(y, r) from step k1 on
         pts, rho, _, slot = state

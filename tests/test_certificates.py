@@ -269,6 +269,15 @@ def test_gradient_time_without_survivors_raises(monkeypatch):
     assert recorded == []
 
 
+@pytest.mark.parametrize(
+    "times,dts,windows", [([0.1], [1e-2], [0.0, 0.1]), ([0.1, 0.2], [1e-2, 1e-2], [0.1]), ([0.1], [1e-2], [])]
+)
+def test_gradient_rejects_a_dt_or_window_count_off_the_times(times, dts, windows):
+    # a short windows list used to end in an IndexError, a long one was cut
+    with pytest.raises(ValueError, match="need one dt and one window per time"):
+        gradient_profile(brownian_interval(0, 1), times, [[0.5], [0.3]], 100, 3, dts=dts, windows=windows)
+
+
 def test_gradient_bm_shape_small_times():
     model = brownian_interval(0, 1)
     times = [1e-2, 1e-1]

@@ -5,15 +5,14 @@ from hypothesis import strategies as st
 
 from qsd import chains
 from qsd.chains import (
-    POWER_MAX_ITER,
-    POWER_TOL,
     ChainFormatError,
     FiniteAbsorbedChain,
+    IterationLimitError,
     NoCertificateError,
     PrimitivityError,
     _conditioned_tv,
+    _green_iteration,
     _pair_nu_raw,
-    _power_iteration,
     _survival_ratios,
     _survival_vectors,
     check_condition_A_prime,
@@ -200,12 +199,48 @@ def _band(n):
 def test_dense_path_agrees_with_power_iteration(q):
     spec = qsd_spectral(FiniteAbsorbedChain(q))
     assert spec.iterations == 0
-    alpha, eta, iterations = _power_iteration(q, POWER_TOL, POWER_MAX_ITER)
+    alpha, eta, iterations = _green_iteration(q)
     assert iterations > 0
     assert np.abs(spec.alpha - alpha).max() < 1e-10
     assert np.abs(spec.eta - eta).max() < 1e-10
     assert np.abs(spec.alpha @ q - spec.perron * spec.alpha).max() <= 1e-13
     assert np.abs(q @ spec.eta - spec.perron * spec.eta).max() <= 1e-13
+
+
+def test_green_iteration_past_dense_cap_matches_sine_vector():
+    # the killed lazy walk's Perron vectors are exactly eta_k ~ sin(k pi / (n + 1));
+    # dense eig is itself about 1.6e-10 off in eta at this size, so it is no reference
+    n = 520
+    spec = qsd_spectral(FiniteAbsorbedChain(_band(n)))
+    s = np.sin(np.arange(1, n + 1) * np.pi / (n + 1))
+    assert spec.second_modulus is None
+    assert 0 < spec.iterations < 50  # power iteration on Q itself took 348,009
+    assert np.abs(spec.alpha - s / s.sum()).max() < 1e-12
+    assert np.abs(spec.eta - s / s.max()).max() < 1e-12
+    assert spec.perron == pytest.approx(0.995 * (0.5 + 0.5 * np.cos(np.pi / (n + 1))), rel=1e-13)
+
+
+def test_green_iteration_past_dense_cap_without_killing():
+    # sigma = 1 would make sigma I - Q singular on this chain
+    n = 600
+    q = 0.5 * np.eye(n) + 0.25 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    q[0, 0] = q[-1, -1] = 0.75  # reflecting ends: every row sums to 1
+    spec = qsd_spectral(FiniteAbsorbedChain(q))
+    assert spec.iterations > 0
+    assert np.abs(spec.alpha - 1.0 / n).max() < 1e-14
+    assert np.abs(spec.eta - 1.0).max() < 1e-10
+    assert spec.perron == pytest.approx(1.0, abs=1e-12)
+
+
+def test_green_iteration_raises_past_its_iteration_cap(monkeypatch):
+    monkeypatch.setattr(chains, "DENSE_EIG_MAX_N", 10)
+    monkeypatch.setattr(chains, "POWER_MAX_ITER", 2)  # read at call time
+    chain = FiniteAbsorbedChain(_band(80))
+    for _ in range(2):  # the error is raised on every call, never cached away
+        with pytest.raises(IterationLimitError, match="no convergence in 2 steps"):
+            qsd_spectral(chain)
+    monkeypatch.setattr(chains, "POWER_MAX_ITER", 10**6)
+    assert qsd_spectral(chain).iterations > 2
 
 
 def test_spectral_data_and_powers_are_cached_per_chain():

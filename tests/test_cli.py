@@ -585,6 +585,23 @@ BAD_FIELDS = [
     ("fleming-viot", "burn_in", "burn_in = 0.998", "field 'burn_in' in [params] must be at most 0.995, the last rebirth-rate time, got 0.998"),
     ("fleming-viot", "dt", "dt = 2.0", "field 'horizon' in [params] must be at least 2.0, got 1.0"),
 ]
+# each used to end in a traceback (ZeroDivisionError for dts = 0 0, ValueError
+# for eps outside (0, inradius)) or in a misleading verdict: t1 = -0.1 reported
+# c-prime = 0 and a FAIL, and negative certify-A times exited 1 with "zero
+# survival from the minorizing measure"
+BAD_FIELDS += [
+    ("fleming-viot", "burn_in", "burn_in = -0.1", "field 'burn_in' in [params] must be at least 0.0, got -0.1"),
+    ("gradient", "dts", "dts = 0 0", "field 'dts' in [params] must be positive, got 0.0"),
+    ("gradient", "dts", "dts = 5e-3 -5e-3", "field 'dts' in [params] must be positive, got -0.005"),
+    ("gradient", "times", "times = -0.5 1.0", "field 'times' in [params] must be at least 0.0, got -0.5"),
+    ("gradient", "windows", "windows = 0.25 -0.25", "field 'windows' in [params] must be at least 0.0, got -0.25"),
+    ("boundary-return", "eps", "eps = 0", "field 'eps' in [params] must be inside (0, inradius) = (0, 1), got 0.0"),
+    ("boundary-return", "eps", "eps = 1.5", "field 'eps' in [params] must be inside (0, inradius) = (0, 1), got 1.5"),
+    ("boundary-return", "t1", "t1 = -0.1", "field 't1' in [params] must be positive, got -0.1"),
+    ("certify-A", "times", "times = -0.1 0.2 0.4", "field 'times' in [params] must be at least 0.0, got -0.1"),
+    ("certify-A", "t0_candidates", "t0_candidates = 0 0.4", "field 't0_candidates' in [params] must be positive, got 0.0"),
+    ("decay-report", "times", "times = -0.1 0.2", "field 'times' in [params] must be at least 0.0, got -0.1"),
+]
 
 
 @pytest.mark.parametrize("kind,key,line,message", BAD_FIELDS)

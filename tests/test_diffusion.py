@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qsd import simulate
 from qsd.domains import Ball, BallTarget, Box, DomainError, InnerCompact, Interval, _sum_squares
 from qsd.models import (
     ConstantIsotropic,
@@ -22,6 +23,7 @@ from qsd.simulate import (
     split_survival_profile,
     survival_probability,
     survival_snapshots,
+    tube_probability,
 )
 
 from oracles import (
@@ -304,6 +306,31 @@ def test_survival_zero_time_and_monotone_nesting():
     # nested events on common paths: same seed, increasing horizons
     res = survival_snapshots(model, np.full((5000, 1), 0.5), [0.25, 0.5, 1.0], 1e-3, 23)
     assert res.counts[0] >= res.counts[1] >= res.counts[2]
+
+
+BAD_GRIDS = {
+    "negative-time": dict(times=[-0.1, 0.5], dt=1e-3),  # used to read count 0 at t = -0.1
+    "only-negative-times": dict(times=[-0.2, -0.1], dt=1e-3),  # used to step until every path died
+    "zero-dt": dict(times=[0.5], dt=0.0),  # used to raise ZeroDivisionError
+    "negative-dt": dict(times=[0.5], dt=-1e-3),
+}
+
+
+@pytest.mark.parametrize("grid", list(BAD_GRIDS.values()), ids=list(BAD_GRIDS))
+def test_batch_loop_rejects_negative_times_and_nonpositive_dt(monkeypatch, grid):
+    def no_step(*args):
+        raise AssertionError("stepped before rejecting the time grid")
+
+    monkeypatch.setattr(simulate, "_step", no_step)
+    model, times, dt = brownian_interval(0, 1), grid["times"], grid["dt"]
+    for call in (
+        lambda: survival_snapshots(model, np.full((100, 1), 0.5), times, dt, 1),
+        lambda: hitting_before(model, [0.5], BallTarget((0.5,), 0.1), times[0], 100, 1, dt=dt),
+        lambda: tube_probability(model, [0.5], [0.5], 0.3, times[0], 100, 1, dt=dt),
+        lambda: split_survival_profile(model, [[0.5]], times, 100, 1, dt=dt, window=0.05),
+    ):
+        with pytest.raises(ValueError, match="dt must be positive and every time at least 0"):
+            call()
 
 
 def test_bridge_correction_only_adds_absorption():

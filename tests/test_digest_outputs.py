@@ -20,5 +20,8 @@ def test_digest_script_runs_small_and_repeats():
     assert all(len(digest) == 64 for digest, _ in rows)
     for expected in ("disc/bridge=0/survival_snapshots", "box3/bridge=1/fleming_viot_run", "scale1d/_exit_mc"):
         assert expected in names
+    chain = [name for name in names if name.startswith("chain/")]
+    assert {"chain/dense5/qsd_spectral", "chain/dense40/check_condition_A_prime"} <= set(chain)
+    assert all(name.startswith(("chain/dense5/", "chain/dense40/")) for name in chain)  # n <= 40
     cli = [name for name in names if name.startswith("cli/")]
     assert cli == ["cli/configs/finite_verify_sym2.cfg", "cli/configs/simulate_bm.cfg"]
