@@ -8,7 +8,9 @@ script) and `diff` the two outputs: equal lines mean bit-for-bit equal
 outputs.  It covers every Monte-Carlo estimator on an interval, a 2-d box,
 a disc and a 3-d box (constant and Hoelder diagonal fields), with the
 bridge correction on and off where the estimator takes it; the
-natural-scale exit loop; many uneven batches admitted while others step
+natural-scale exit loop; histogram binning of samples on and one ulp
+either side of every edge and outside the grid, on a regular and an
+irregular grid; many uneven batches admitted while others step
 (a small coordinate cap set inside the script) on a 2-d box, a 3-d ball
 and `MatrixField` models, and five exit-loop starts; every exact-engine
 criterion on dense chains (n = 5, 40) and killed lazy walks (n = 80, 160,
@@ -46,7 +48,7 @@ from qsd import chains, particles, scale1d, simulate  # noqa: E402
 from qsd.cli import main as qsd_main  # noqa: E402
 from qsd.config import ExperimentConfig  # noqa: E402
 from qsd.domains import Ball, BallTarget, InnerCompact  # noqa: E402
-from qsd.measures import Measure  # noqa: E402
+from qsd.measures import BinGrid, Measure, histogram_from_samples  # noqa: E402
 from qsd.models import DiffusionModel, MatrixField, ZeroDrift, build_model  # noqa: E402
 
 MODELS = {
@@ -156,12 +158,33 @@ def estimator_cases(small: bool):
         ]
     hz, interval = (0.05 if small else 0.3), build_model(*MODELS["interval-holder"])
     return cases + [
+        ("measures/histogram_from_samples", _histograms),
         ("scale1d/_exit_mc", partial(scale1d._exit_mc, 0.5, [0.01, 0.125, 0.25, 0.49], 0.5, hz, 2 * n, range(31, 35), dt=2e-4)),
         ("scale1d/_exit_mc-small-hi", partial(scale1d._exit_mc, 2.0, [0.004, 0.01], 0.02, hz, n, [35, 36], dt=2e-4)),
         ("scale1d/natural_scale_exit_mc", partial(scale1d.natural_scale_exit_mc, 0.0, 0.2, 0.5, hz, n, 37, dt=1e-3)),
         ("scale1d/escape_bounds_check", partial(scale1d.escape_bounds_check, 0.5, 1.0, [0.125, 0.25], n, 38, dt=1e-3)),
         ("scale1d/lemma32_verify", partial(scale1d.lemma32_verify, interval, [0.05, 0.5], n, 39, dt=dt)),
     ]
+
+
+def _histograms():
+    """`histogram_from_samples` on 1-d, 2-d and irregular grids; per axis
+    the samples are every edge, one ulp either side of it, points outside
+    the closed box (and NaN), then random points in and around the box."""
+    g = np.random.default_rng(40)
+    grids = (
+        BinGrid.regular(0.0, np.pi, 32),
+        BinGrid.regular([0.0, -1.0], [1.0, 2.0], [10, 7]),
+        BinGrid(((0.0, 0.1, 0.15, 0.5, 3.0), (-1.0, 0.0, 2.0))),
+    )
+    out = []
+    for grid in grids:
+        cols = []
+        for e in grid.edge_arrays():
+            c = np.concatenate([e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf), [e[0] - 1, e[-1] + 1, np.inf, np.nan]])
+            cols.append(g.permutation(np.concatenate([c, g.uniform(e[0] - 0.1, e[-1] + 0.1, 500 - c.size)])))
+        out.append(histogram_from_samples(grid, np.stack(cols, axis=1)))
+    return out
 
 
 def _tilted(x):

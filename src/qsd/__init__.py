@@ -22,9 +22,7 @@ from .chains import (
 )
 from .domains import Ball, BallTarget, Box, InnerCompact, Interval
 from .measures import (
-    CEMETERY,
     BinGrid,
-    FiniteStateSpace,
     Measure,
     histogram_from_samples,
     lipschitz_constant,

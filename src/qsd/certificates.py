@@ -4,7 +4,9 @@ For finite chains every quantity here is exact; for diffusions the state
 space is uncountable, so infima over all starting points are relaxed to a
 stratified probe grid including near-boundary points, estimates carry
 binomial confidence intervals, and certificates quote conservative CI
-ends.  These are lower-confidence certificates, not proofs.
+ends.  These are lower-confidence certificates, not proofs.  The gradient
+and h_t profiles take one Lipschitz constant over the probe grid and the
+cemetery, which lies at the domain's boundary distance from each point.
 """
 
 from __future__ import annotations
@@ -16,14 +18,7 @@ import numpy as np
 from .chains import FiniteAbsorbedChain, _conditioned_tv, _survival_ratios
 from .chains import qsd_spectral  # noqa: F401  (importable from here, as before)
 from .domains import DomainError
-from .measures import (
-    CEMETERY,
-    BinGrid,
-    FiniteStateSpace,
-    Measure,
-    lipschitz_constant,
-    tv_distance,
-)
+from .measures import BinGrid, Measure, _norms, lipschitz_constant, tv_distance
 from .models import DiffusionModel
 from .particles import _conditioned_laws, domain_grid
 from .report import VerificationReport
@@ -48,18 +43,16 @@ class FailedA2Error(RuntimeError):
 
 @dataclass(frozen=True)
 class ProbeGrid:
-    """Interior probe points (boundary-stratified), time grid, ball radii
-    for irreducibility probes, MC budget per probe."""
+    """Interior probe points (boundary-stratified), time grid and MC
+    budget per probe."""
 
     points: np.ndarray
     times: np.ndarray
     budget: int
-    radii: tuple[float, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "points", np.atleast_2d(np.asarray(self.points, dtype=float)))
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
-        object.__setattr__(self, "radii", tuple(float(r) for r in self.radii))
         if (np.diff(self.times) <= 0).any():
             raise ValueError("time grid must be increasing")
 
@@ -91,12 +84,7 @@ def default_probe_grid(
     pts = np.vstack([bulk] + [np.array(near)]) if near else bulk
     if not dom.contains(pts).all():
         raise ValueError("probe grid left the domain")
-    return ProbeGrid(
-        points=pts,
-        times=np.asarray(times, dtype=float),
-        budget=budget,
-        radii=(0.1 * dom.inradius, 0.25 * dom.inradius),
-    )
+    return ProbeGrid(points=pts, times=np.asarray(times, dtype=float), budget=budget)
 
 
 def minorize_laws(laws: np.ndarray) -> tuple[float, np.ndarray]:
@@ -143,14 +131,6 @@ def estimate_A1(
             "empty intersection of conditioned laws: coarsen bins or increase t0"
         )
     return A1Estimate(c1=c1, nu=Measure(grid, m / c1), per_point=tuple(hists))
-
-
-def _grid_space(model: DiffusionModel, pts: np.ndarray) -> FiniteStateSpace:
-    """The probe grid as a metric space: Euclidean between points, and the
-    domain's boundary distance to the cemetery."""
-    return FiniteStateSpace(
-        len(pts), embedding=pts, boundary_distance=model.domain.rho_boundary(pts)
-    )
 
 
 def _grid_survival(model, pts, times, n, seed, ids, *, dt, window=0.0):
@@ -247,6 +227,8 @@ class ConditionACertificate:
     c2: float
 
     def __post_init__(self):
+        if not self.t0 > 0:
+            raise ValueError(f"t0 must be positive, got {self.t0}")
         if not (0 < self.c1 <= 1 + 1e-12 and 0 < self.c2 <= 1 + 1e-12):
             raise ValueError("c1 and c2 must lie in (0, 1]")
         if not self.nu.is_distribution:
@@ -471,8 +453,7 @@ def gradient_profile(
     if len(dts) != len(times) or len(windows) != len(times):
         raise ValueError(f"need one dt and one window per time: {len(times)} times, got {len(dts)} and {len(windows)}")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    space = _grid_space(model, pts)
-    labels = list(range(len(pts))) + [CEMETERY]
+    rho = model.domain.rho_boundary(pts)
     L = np.zeros(len(times))
     max_surv = np.zeros(len(times))
     inconclusive = np.zeros(len(times), dtype=bool)
@@ -489,8 +470,7 @@ def gradient_profile(
                 "paths each; increase n or reduce the times"
             )
         surv_profiles.append(surv)
-        # the cemetery has survival 0
-        L[k] = lipschitz_constant(labels, np.append(surv, 0.0), space.metric)
+        L[k] = lipschitz_constant(pts, surv, rho)
         max_surv[k] = float(surv.max())
         diffs = np.abs(surv[:, None] - surv[None, :]).max()
         inconclusive[k] = se.max() > 0.2 * max(diffs, 1e-300)
@@ -514,7 +494,7 @@ def gradient_profile(
     # time; holds by construction, since the cemetery pairs enter L, and is
     # recorded to pin the constant C = L(t1).
     k1 = int(np.argmin(times))
-    margin = float((L[k1] * space.boundary_distance - surv_profiles[k1]).min())
+    margin = float((L[k1] * rho - surv_profiles[k1]).min())
     rep.check_ge("survival-below-L-rho-margin", margin, 0.0, tol=1e-12)
     return GradientProfile(
         times=np.asarray(times),
@@ -637,12 +617,12 @@ def ht_profile(
     if degen:
         rep.add_info("degenerate-flat-profile", 1.0)
     else:
-        space = _grid_space(model, pts)
-        c_dd = lipschitz_constant(list(range(space.n)) + [CEMETERY], list(h) + [0.0], space.metric)
+        rho = model.domain.rho_boundary(pts)
+        c_dd = lipschitz_constant(pts, h, rho)
         rep.add_info("c-double-prime", c_dd)
-        fz = np.maximum(1.0 - c_dd * np.array([space.metric(i, z) for i in range(space.n)]), 0.0)
+        fz = np.maximum(1.0 - c_dd * _norms(pts - pts[z]), 0.0)
         rep.check_ge("ht-minoration-margin", float((h - fz).min()), 0.0, tol=1e-9)
-        rep.check_ge("z-boundary-clearance", space.rho_boundary(z), 1.0 / c_dd, tol=1e-9)
+        rep.check_ge("z-boundary-clearance", float(rho[z]), 1.0 / c_dd, tol=1e-9)
         thr = 1.0 / c_dd
     return HtProfile(
         h=h,

@@ -191,6 +191,8 @@ def run_certify_A(cfg: ExperimentConfig, out: str, seed: int):
     bins = cfg.positive(cfg.get_int("params", "bins", 32), "params", "bins")
     budget = cfg.at_least(cfg.get_int("params", "n", 20000), 100, "params", "n")
     times = cfg.at_least(cfg.get_floats("params", "times"), 0.0, "params", "times")
+    if (np.diff(times) <= 0).any():
+        raise cfg.invalid("params", "times", "increasing", times)
     t0s = cfg.positive(cfg.get_floats("params", "t0_candidates"), "params", "t0_candidates")
     grid = certs.default_probe_grid(model, times, budget, seed=substream(seed, 4))
     cert = certs.certify_condition_A(
@@ -211,12 +213,16 @@ def run_certify_A(cfg: ExperimentConfig, out: str, seed: int):
     return report, False
 
 
-def _points(cfg: ExperimentConfig, dim: int) -> np.ndarray:
-    """`[params] points`, read as rows of `dim` coordinates."""
-    flat = cfg.get_floats("params", "points")
+def _points(cfg: ExperimentConfig, model) -> np.ndarray:
+    """`[params] points`, read as rows of `model.dim` coordinates, each in
+    the open domain."""
+    flat, dim = cfg.get_floats("params", "points"), model.dim
     if not flat or len(flat) % dim:
         raise cfg.invalid("params", "points", f"a nonzero multiple of {dim} numbers", len(flat))
-    return np.asarray(flat).reshape(-1, dim)
+    pts = np.asarray(flat).reshape(-1, dim)
+    if not (inside := model.domain.contains(pts)).all():
+        raise cfg.invalid("params", "points", "inside the open domain", pts[~inside][0].tolist())
+    return pts
 
 
 def run_gradient(cfg: ExperimentConfig, out: str, seed: int):
@@ -228,7 +234,7 @@ def run_gradient(cfg: ExperimentConfig, out: str, seed: int):
         if len(vals) != len(times):
             raise cfg.invalid("params", key, f"{len(times)} numbers, one per time", len(vals))
     n = cfg.positive(cfg.get_int("params", "n", 20000), "params", "n")
-    points = _points(cfg, model.dim)
+    points = _points(cfg, model)
     prof = certs.gradient_profile(
         model,
         times,
@@ -260,7 +266,7 @@ def run_boundary_return(cfg: ExperimentConfig, out: str, seed: int):
         raise cfg.invalid("params", "eps", f"inside (0, inradius) = (0, {model.domain.inradius:g})", eps)
     t1 = cfg.positive(cfg.get_float("params", "t1", eps**2 / model.sigma_max2), "params", "t1")
     n = cfg.at_least(cfg.get_int("params", "n", 100000), 100, "params", "n")
-    points = _points(cfg, model.dim)
+    points = _points(cfg, model)
     res = certs.boundary_return_constant(
         model, InnerCompact(model.domain, eps), t1, points, n, substream(seed, 7), dt=dt
     )
@@ -323,12 +329,12 @@ def run_decay_report(cfg: ExperimentConfig, out: str, seed: int):
     # nu itself is not used by the decay checks, only (t0, c1, c2); carry a
     # uniform placeholder so the certificate type stays valid
     grid = certs.domain_grid(model, bins)
-    cert = certs.ConditionACertificate(
-        t0=cfg.get_float("certificate", "t0"),
-        c1=cfg.get_float("certificate", "c1"),
-        nu=Measure(grid, np.full(grid.size, 1.0 / grid.size)),
-        c2=cfg.get_float("certificate", "c2"),
-    )
+    t0 = cfg.positive(cfg.get_float("certificate", "t0"), "certificate", "t0")
+    c1, c2 = (cfg.get_float("certificate", key) for key in ("c1", "c2"))
+    for key, c in (("c1", c1), ("c2", c2)):
+        if not 0 < c <= 1:
+            raise cfg.invalid("certificate", key, "inside (0, 1]", c)
+    cert = certs.ConditionACertificate(t0=t0, c1=c1, nu=Measure(grid, np.full(grid.size, 1.0 / grid.size)), c2=c2)
     report = certs.decay_report_model(
         model, cert, [(np.asarray(x), np.asarray(y))], times, n, bins, substream(seed, 9), dt=dt
     )

@@ -1,4 +1,5 @@
-"""Measures, total-variation distance and Lipschitz utilities.
+"""Measures, total-variation distance, histogram binning and the grid
+Lipschitz constant.
 
 The total-variation convention used throughout is the unhalved one,
 ``tv(a, b) = sum_i |a_i - b_i|``, so two mutually singular probability
@@ -7,29 +8,24 @@ in this package (``2 (1 - c1 c2)^floor(t/t0)`` and friends) carries the
 factor 2 that belongs to the unhalved convention, so do not rescale.
 
 Histogram measures compare only on identical bin grids; there is no
-automatic re-binning.
+automatic re-binning.  Every histogram bins through one kernel,
+`_bin_index` plus `np.bincount`.  The Lipschitz constant of a function on
+a point set counts the cemetery, where the function vanishes, at its
+distance rho(x) from each point x; `lipschitz_constant` takes the points,
+the values and rho as arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
 
 MASS_RTOL = 1e-12
 
-#: Cemetery point. Distinct from every state; metrics treat rho(x, CEMETERY)
-#: as the boundary distance of x.
-CEMETERY = type("Cemetery", (), {"__repr__": lambda self: "∂"})()
-
 
 class SupportMismatchError(ValueError):
     """Two measures live on different supports."""
-
-
-class InsufficientPointsError(ValueError):
-    """A Lipschitz constant needs at least two points."""
 
 
 @dataclass(frozen=True)
@@ -40,15 +36,9 @@ class BinGrid:
 
     @classmethod
     def regular(cls, lo, hi, bins) -> "BinGrid":
-        lo = np.atleast_1d(np.asarray(lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(hi, dtype=float))
-        if np.isscalar(bins) or np.ndim(bins) == 0:
-            bins = [int(bins)] * lo.size
-        edges = tuple(
-            tuple(np.linspace(lo[k], hi[k], int(bins[k]) + 1).tolist())
-            for k in range(lo.size)
-        )
-        return cls(edges)
+        lo, hi = np.atleast_1d(np.asarray(lo, dtype=float)), np.atleast_1d(np.asarray(hi, dtype=float))
+        bins = np.broadcast_to(bins, lo.shape)  # one count for every axis, or one per axis
+        return cls(tuple(tuple(np.linspace(a, b, int(k) + 1).tolist()) for a, b, k in zip(lo, hi, bins)))
 
     @property
     def dim(self) -> int:
@@ -67,20 +57,17 @@ class BinGrid:
 
     def centers(self) -> np.ndarray:
         """Bin centers, shape (size, dim), flattened in C order."""
-        mids = [0.5 * (e[1:] + e[:-1]) for e in self.edge_arrays()]
-        grids = np.meshgrid(*mids, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
+        return _product([0.5 * (e[1:] + e[:-1]) for e in self.edge_arrays()])
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-bin (lo, hi) corners, each of shape (size, dim)."""
-        los = [np.asarray(e[:-1]) for e in self.edges]
-        his = [np.asarray(e[1:]) for e in self.edges]
-        glo = np.meshgrid(*los, indexing="ij")
-        ghi = np.meshgrid(*his, indexing="ij")
-        return (
-            np.stack([g.ravel() for g in glo], axis=1),
-            np.stack([g.ravel() for g in ghi], axis=1),
-        )
+        edges = self.edge_arrays()
+        return _product([e[:-1] for e in edges]), _product([e[1:] for e in edges])
+
+
+def _product(axes) -> np.ndarray:
+    """Rows of the C-order Cartesian product of per-axis arrays."""
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
 
 
 @dataclass(frozen=True)
@@ -91,16 +78,11 @@ class Measure:
     weights: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1:
-            w = w.ravel()
+        w = np.array(self.weights, dtype=float).ravel()  # a copy, flattened
         if w.size != self.support.size:
-            raise ValueError(
-                f"weight vector of length {w.size} on support of size {self.support.size}"
-            )
+            raise ValueError(f"weight vector of length {w.size} on support of size {self.support.size}")
         if (w < 0).any():
             raise ValueError("negative weight in measure")
-        w = w.copy()
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 
@@ -124,95 +106,83 @@ def tv_distance(a, b) -> float:
             raise SupportMismatchError("cannot compare a Measure with a bare vector")
         if a.support != b.support:
             raise SupportMismatchError(f"supports differ: {a.support} vs {b.support}")
-        return float(np.abs(a.weights - b.weights).sum())
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+        a, b = a.weights, b.weights
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise SupportMismatchError(f"weight shapes differ: {a.shape} vs {b.shape}")
     return float(np.abs(a - b).sum())
 
 
-def lipschitz_constant(
-    points: Sequence, values: Sequence[float], metric: Callable
-) -> float:
-    """Largest |v(x) - v(y)| / rho(x, y) over distinct pairs of points.
+def _norms(diff: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of `diff` (k, dim), rounded exactly as
+    `np.linalg.norm(row)`: both take the square root of one dot product."""
+    return np.sqrt(diff[:, None, :] @ diff[:, :, None]).ravel()
 
-    Discretizes the sup-gradient of a function over a supplied point set.
-    `metric` must be positive for distinct points.
+
+def lipschitz_constant(points, values, rho):
+    """Largest |v_i - v_j| / |x_i - x_j| over pairs of points, and
+    |v_i| / rho_i: the value 0 at the cemetery, at distance rho_i from x_i.
+
+    `points` is (m, dim) (or (m,) on a line), `values` and `rho` are (m,).
+    rho_i = inf leaves the cemetery out.  Equal points, or a distance to
+    the cemetery that is not positive, raise `ValueError`.
     """
-    pts = list(points)
-    vals = np.asarray(values, dtype=float)
-    if len(pts) < 2:
-        raise InsufficientPointsError(f"need >= 2 points, got {len(pts)}")
-    if vals.size != len(pts):
-        raise ValueError("points and values length mismatch")
-    best = 0.0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = float(metric(pts[i], pts[j]))
-            if d <= 0:
-                raise ValueError(f"metric is not positive for pair ({i}, {j})")
-            q = abs(vals[i] - vals[j]) / d
-            if q > best:
-                best = q
-    return best
+    pts = np.asarray(points, dtype=float)
+    pts = pts[:, None] if pts.ndim == 1 else pts
+    vals, rho = np.asarray(values, dtype=float), np.asarray(rho, dtype=float)
+    if vals.shape != (len(pts),) or rho.shape != vals.shape:
+        raise ValueError(f"need one value and one rho per point: {len(pts)} points, got {vals.shape} and {rho.shape}")
+    i, j = np.triu_indices(len(pts), 1)
+    d = _norms(pts[i] - pts[j])
+    if (d <= 0).any() or (rho <= 0).any():
+        raise ValueError("a point coincides with another point or with the cemetery")
+    return np.concatenate([np.abs(vals[i] - vals[j]) / d, np.abs(vals) / rho]).max()
 
 
-@dataclass(frozen=True)
-class FiniteStateSpace:
-    """Finite state space {0..n-1} embedded in R^d, with the distance
-    rho(x, CEMETERY) of every state to the cemetery.
+def _bin_index(edges, pts: np.ndarray) -> np.ndarray:
+    """Flat C-order bin of each point of `pts` (m, dim) on the grid with
+    edge arrays `edges` (`BinGrid.edge_arrays()`), clipped to the grid.
 
-    It is the metric of diffusion probe grids: the gradient and h_t
-    profiles embed their points and take the domain's boundary distance,
-    so this class is the one place that knows the distance to the cemetery.
+    Per axis this is clip(searchsorted(e, x, side="right") - 1, 0,
+    bins - 1), exactly, for every grid: bin i holds lo[i] <= x < hi[i],
+    with the interior edges padded by -inf and +inf.  The floor of
+    (x - e[0]) / mean width is kept where it satisfies that, and the few
+    points where it does not (rounding at an edge, an irregular grid) are
+    binary-searched.
     """
-
-    n: int
-    embedding: np.ndarray
-    boundary_distance: np.ndarray
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need at least one state")
-        e = np.asarray(self.embedding, dtype=float)
-        if e.ndim == 1:
-            e = e[:, None]
-        if e.shape[0] != self.n:
-            raise ValueError("embedding must provide one point per state")
-        object.__setattr__(self, "embedding", e)
-        b = np.asarray(self.boundary_distance, dtype=float)
-        if b.shape != (self.n,) or (b < 0).any():
-            raise ValueError("boundary_distance must be n nonnegative reals")
-        object.__setattr__(self, "boundary_distance", b)
-
-    def rho_boundary(self, i) -> float:
-        return 0.0 if i is CEMETERY else float(self.boundary_distance[i])
-
-    def metric(self, i, j) -> float:
-        if i is CEMETERY and j is CEMETERY:
-            return 0.0
-        if i is CEMETERY:
-            return self.rho_boundary(j)
-        if j is CEMETERY:
-            return self.rho_boundary(i)
-        if i == j:
-            return 0.0
-        return float(np.linalg.norm(self.embedding[i] - self.embedding[j]))
+    flat = np.zeros(pts.shape[0], dtype=np.intp)
+    for e, x in zip(edges, np.ascontiguousarray(pts.T)):
+        top = e.size - 2
+        i = np.floor((x - e[0]) * ((top + 1) / (e[-1] - e[0])))
+        i = np.fmin(np.fmax(i, 0), top).astype(np.intp)
+        inner = e[1:-1]
+        bad = ~((np.append(-np.inf, inner)[i] <= x) & (x < np.append(inner, np.inf)[i]))
+        if bad.any():
+            i[bad] = np.clip(np.searchsorted(e, x[bad], side="right") - 1, 0, top)
+        flat = flat * (top + 1) + i
+    return flat
 
 
 def histogram_from_samples(grid: BinGrid, samples: np.ndarray) -> Measure:
-    """Bin samples (m, dim) onto `grid` and normalize to a distribution."""
+    """Bin samples (m, dim) onto `grid` and normalize to a distribution.
+
+    Samples outside the grid's closed box (or with a NaN) are dropped; a
+    sample on the last edge of an axis falls in that axis's last bin.
+    """
     pts = np.asarray(samples, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.shape[0] == 0:
         raise ValueError("no samples to bin")
-    counts, _ = np.histogramdd(pts, bins=grid.edge_arrays())
-    total = counts.sum()
-    if total == 0:
+    if pts.shape[1] != grid.dim:
+        raise ValueError(f"{pts.shape[1]}-d samples on a {grid.dim}-d grid")
+    edges = grid.edge_arrays()
+    inside = np.logical_and.reduce([(e[0] <= x) & (x <= e[-1]) for e, x in zip(edges, pts.T)])
+    if not inside.all():
+        pts = pts[inside]
+    if pts.shape[0] == 0:
         raise ValueError("all samples fell outside the bin grid")
-    return Measure(grid, counts.ravel() / total)
+    return Measure(grid, np.bincount(_bin_index(edges, pts), minlength=grid.size) / pts.shape[0])
 
 
 def write_histogram_csv(path, hist: Measure) -> None:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import DomainError
-from .measures import BinGrid, Measure, histogram_from_samples
+from .measures import BinGrid, Measure, _bin_index, histogram_from_samples
 from .models import DiffusionModel
 from .rng import _loop_generator, step_generator, stream_generator
 from .simulate import ZeroSurvivorError, _columns, _snapshots, _start_cloud, _step, _variates
@@ -30,30 +30,6 @@ def domain_grid(model: DiffusionModel, bins) -> BinGrid:
         return bins
     lo, hi = model.domain.bounds()
     return BinGrid.regular(lo, hi, bins)
-
-
-def _bin_index(edges, pts: np.ndarray) -> np.ndarray:
-    """Flat C-order bin of each point of `pts` (m, dim) on the grid with
-    edge arrays `edges` (`BinGrid.edge_arrays()`), clipped to the grid.
-
-    Per axis this is clip(searchsorted(e, x, side="right") - 1, 0,
-    bins - 1), exactly, for every grid: bin i holds lo[i] <= x < hi[i],
-    with the interior edges padded by -inf and +inf.  The floor of
-    (x - e[0]) / mean width is kept where it satisfies that, and the few
-    points where it does not (rounding at an edge, an irregular grid) are
-    binary-searched.
-    """
-    flat = np.zeros(pts.shape[0], dtype=np.intp)
-    for e, x in zip(edges, np.ascontiguousarray(pts.T)):
-        top = e.size - 2
-        i = np.floor((x - e[0]) * ((top + 1) / (e[-1] - e[0])))
-        i = np.fmin(np.fmax(i, 0), top).astype(np.intp)
-        inner = e[1:-1]
-        bad = ~((np.append(-np.inf, inner)[i] <= x) & (x < np.append(inner, np.inf)[i]))
-        if bad.any():
-            i[bad] = np.clip(np.searchsorted(e, x[bad], side="right") - 1, 0, top)
-        flat = flat * (top + 1) + i
-    return flat
 
 
 def conditional_rejection(

@@ -11,9 +11,12 @@ step, rebirth and binning code: the crossing probability on every path,
 one donor draw per dead particle, and one `searchsorted` per axis.  The
 boundary geometry before them keeps each domain's own open-domain test and
 normal encoding (the axis itself, a nearest-axis index, unit vectors).
-The batch loops last (snapshots, hitting, tube, windowed splitting) each
+The batch loops (snapshots, hitting, tube, windowed splitting) each
 step on their own with that plain step, where the package runs them all
-on one loop.
+on one loop.  Last come the grid Lipschitz constant as a pairwise loop
+over the points and a cemetery label through a metric callable, and
+histograms by `np.histogramdd`, both as the package computed them before
+one array kernel each.
 """
 
 from __future__ import annotations
@@ -516,3 +519,50 @@ def split_profile_reference(model, xs, times, n, seed, *, dt, window, bridge=Tru
                     out_se[ti, i] = np.sqrt(rel_var[i] + (1 - frac) / (frac * n))
             ti += 1
     return out, out_se
+
+
+# --- grid Lipschitz constant and histograms, before one kernel each ---------------
+
+CEMETERY = type("Cemetery", (), {"__repr__": lambda self: "∂"})()
+
+
+def lipschitz_reference(points, values, rho):
+    """Largest |v(a) - v(b)| / metric(a, b) over distinct pairs of the
+    labels 0..m-1 and CEMETERY, where v vanishes.  The metric is Euclidean
+    between points, one `np.linalg.norm` per pair, and rho[i] between point
+    i and the cemetery."""
+    pts = np.asarray(points, dtype=float)
+    pts = pts[:, None] if pts.ndim == 1 else pts
+    rho = np.asarray(rho, dtype=float)
+
+    def metric(i, j) -> float:
+        if i is CEMETERY and j is CEMETERY:
+            return 0.0
+        if i is CEMETERY:
+            return float(rho[j])
+        if j is CEMETERY:
+            return float(rho[i])
+        if i == j:
+            return 0.0
+        return float(np.linalg.norm(pts[i] - pts[j]))
+
+    labels = list(range(len(pts))) + [CEMETERY]
+    vals = np.append(np.asarray(values, dtype=float), 0.0)
+    best = 0.0
+    for i in range(len(labels)):
+        for j in range(i + 1, len(labels)):
+            d = metric(labels[i], labels[j])
+            if d <= 0:
+                raise ValueError(f"metric is not positive for pair ({i}, {j})")
+            q = abs(vals[i] - vals[j]) / d
+            if q > best:
+                best = q
+    return best
+
+
+def histogram_reference(grid, samples) -> np.ndarray:
+    """Normalized `np.histogramdd` counts on the grid's edges, flattened in
+    C order: samples outside the closed box are dropped."""
+    pts = np.asarray(samples, dtype=float)
+    counts, _ = np.histogramdd(pts[:, None] if pts.ndim == 1 else pts, bins=grid.edge_arrays())
+    return counts.ravel() / counts.sum()

@@ -602,6 +602,22 @@ BAD_FIELDS += [
     ("certify-A", "t0_candidates", "t0_candidates = 0 0.4", "field 't0_candidates' in [params] must be positive, got 0.0"),
     ("decay-report", "times", "times = -0.1 0.2", "field 'times' in [params] must be at least 0.0, got -0.1"),
 ]
+# each used to end in a traceback: ValueError from ProbeGrid for times not
+# increasing, ZeroDivisionError in gamma_hat for t0 = 0, and a bare
+# ValueError from ConditionACertificate for c1 or c2 outside (0, 1]
+BAD_FIELDS += [
+    ("certify-A", "times", "times = 0.4 0.2 0.1", "field 'times' in [params] must be increasing, got [0.4, 0.2, 0.1]"),
+    ("certify-A", "times", "times = 0.1 0.1", "field 'times' in [params] must be increasing, got [0.1, 0.1]"),
+    ("decay-report", "t0", "t0 = 0", "field 't0' in [certificate] must be positive, got 0.0"),
+    ("decay-report", "c1", "c1 = 0", "field 'c1' in [certificate] must be inside (0, 1], got 0.0"),
+    ("decay-report", "c1", "c1 = 1.5", "field 'c1' in [certificate] must be inside (0, 1], got 1.5"),
+    ("decay-report", "c2", "c2 = -0.05", "field 'c2' in [certificate] must be inside (0, 1], got -0.05"),
+]
+# a probe point on or outside the boundary ended in a DomainError traceback
+BAD_FIELDS += [
+    ("gradient", "points", "points = 0.0 0.0  0.0 1.0", "field 'points' in [params] must be inside the open domain, got [0.0, 1.0]"),
+    ("boundary-return", "points", "points = 1.0 1.0  2.5 1.0", "field 'points' in [params] must be inside the open domain, got [2.5, 1.0]"),
+]
 
 
 @pytest.mark.parametrize("kind,key,line,message", BAD_FIELDS)

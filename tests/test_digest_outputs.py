@@ -18,7 +18,7 @@ def test_digest_script_runs_small_and_repeats():
     names = [name for _, name in rows]
     assert len(names) == len(set(names)) > 100
     assert all(len(digest) == 64 for digest, _ in rows)
-    for expected in ("disc/bridge=0/survival_snapshots", "box3/bridge=1/fleming_viot_run", "scale1d/_exit_mc"):
+    for expected in ("disc/bridge=0/survival_snapshots", "box3/bridge=1/fleming_viot_run", "scale1d/_exit_mc", "measures/histogram_from_samples"):
         assert expected in names
     chain = [name for name in names if name.startswith("chain/")]
     assert {"chain/dense5/qsd_spectral", "chain/dense40/check_condition_A_prime"} <= set(chain)

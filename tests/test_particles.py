@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from qsd.chains import FiniteAbsorbedChain, evolve_conditioned, qsd_spectral
-from qsd.measures import BinGrid, tv_distance
+from qsd.measures import BinGrid, _bin_index, histogram_from_samples, tv_distance
 from qsd.models import ConstantIsotropic, DiffusionModel, LinearDrift, brownian_interval, build_model
 from qsd.domains import Interval
 from qsd import particles
 from qsd.particles import (
     ExtinctionError,
-    _bin_index,
     conditional_rejection,
     conditioned_law_series,
     fleming_viot_run,
@@ -17,7 +16,7 @@ from qsd.particles import (
 from qsd.rng import step_generator
 from qsd.simulate import ZeroSurvivorError
 
-from oracles import bin_index_reference, fleming_viot_reference, ground_profile_hist
+from oracles import bin_index_reference, fleming_viot_reference, ground_profile_hist, histogram_reference
 
 PI = np.pi
 
@@ -212,20 +211,30 @@ def test_fv_equals_sequential_rebirth_reference():
         BinGrid.regular(0.0, PI, 32),
         BinGrid.regular([0.0, -1.0], [1.0, 2.0], [10, 7]),
         BinGrid(((0.0, 0.1, 0.15, 0.5, 3.0), (-1.0, 0.0, 2.0))),
+        BinGrid.regular([0.0, 0.0, 0.0], [1.0, 1.5, 2.0], [3, 4, 2]),
     ],
 )
 def test_bin_index_equals_clipped_searchsorted(grid):
+    """Both binning kernels, bit for bit against their references:
+    `_bin_index` against a clipped searchsorted per axis, and
+    `histogram_from_samples`, which drops the samples outside the closed
+    box and counts those on the last edge in the last bin, against
+    `np.histogramdd`."""
     g = np.random.default_rng(4)
     edges = grid.edge_arrays()
     cols = []
     for e in edges:
         # every edge and its neighbours one ulp away, points outside, then random points
         c = np.concatenate(
-            [e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf), [e[0] - 1, e[-1] + 1e6, -np.inf, np.inf]]
+            [e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf), [e[0] - 1, e[-1] + 1e6, -np.inf, np.inf, np.nan]]
         )
         cols.append(np.concatenate([c, g.uniform(e[0] - 0.1, e[-1] + 0.1, 3000 - c.size)]))
     pts = np.stack([g.permutation(c) for c in cols], axis=1)
     assert np.array_equal(_bin_index(edges, pts), bin_index_reference(edges, pts))
+    assert np.array_equal(histogram_from_samples(grid, pts).weights, histogram_reference(grid, pts))
+    last = np.tile([e[-1] for e in edges], (5, 1))  # exactly on the last edge of every axis
+    assert np.array_equal(histogram_from_samples(grid, last).weights, histogram_reference(grid, last))
+    assert histogram_from_samples(grid, last).weights[-1] == 1.0
 
 
 @pytest.mark.parametrize("a,d", [(1, 1), (3, 40), (4999, 7), (2**32 - 3, 6)])
