@@ -12,6 +12,14 @@ verdict, the Perron data of `qsd_spectral`, the read-only matrix powers
 of `power` and the read-only survival sequence v_t = Q^t 1 / max(Q^t 1)
 behind every survival ratio.  The cache lives on the instance and dies
 with it; a `PrimitivityError` is raised again on every call, never stored.
+
+The time loops of the survival sequence and of the conditioned TVs stop at
+their orbit's first bitwise repeat (`_orbit`).  By Theorem 2.1 the
+normalised laws converge, so in floating point they soon cycle, often
+within a few dozen steps.  From then on each later state is copied, not
+recomputed.  That is bit for bit the step loop, because a step (a BLAS
+product plus a normalisation) is deterministic: equal inputs give equal
+outputs.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ POWER_TOL = 1e-13
 POWER_MAX_ITER = 10**6
 DENSE_EIG_MAX_N = 512
 _TV_BLOCK_FLOATS = 2**16  # floats gathered per block of conditioned-TV steps
+_CYCLE_LAG = 8  # P of `_orbit`: steps between bitwise cycle tests, and the longest period found
 
 
 class ChainFormatError(ValueError):
@@ -279,32 +288,78 @@ def evolve_conditioned(
     return d, float(np.exp(log_mass))
 
 
+def _orbit(step, first: np.ndarray, t_max: int, block: int | None = None, visit=None):
+    """Orbit x_0 = first, x_{t+1} = step(x_t, out) for t = 0..t_max, stopped at its first bitwise repeat.
+
+    The states go into a ring of max(block, P + 1) slots, P = _CYCLE_LAG, at
+    most t_max + 1 (x_t in slot t % len(ring)); `block` defaults to
+    t_max + 1, a ring that never wraps.  `visit(t, states)` gets each run of
+    at most `block` consecutive states ending at x_t, as a view of the ring
+    taken before the ring overwrites it.  At t = P, 2P, ... x_t is tested
+    against the P states before it, as bits: their first floats, and on a
+    match the whole states.  Once x_t equals x_{t-p} bit for bit, every
+    later state repeats with period p, because `step` is a pure function of
+    its input: the same BLAS product on the same operands rounds the same
+    way.  So the loop stops there.  Returns (ring, rest): for each time
+    after the stop, the earlier time whose state it equals (empty when no
+    period p <= P turned up).
+    """
+    lag = _CYCLE_LAG
+    block = t_max + 1 if block is None else block
+    ring = np.empty((min(t_max + 1, max(block, lag + 1)),) + first.shape)
+    ring[0] = first
+    size, run = len(ring), 0  # run: the slot of the first state not yet visited
+    # the bits of each state's first float: a repeat needs a repeat of these
+    head = ring.reshape(size, -1)[:, 0].view(np.uint64)
+    for t in range(t_max + 1):
+        s = t % size
+        if t:
+            step(ring[s - 1], ring[s])  # ring[-1] at s == 0: the previous lap's end
+        p = 0
+        if t and not t % lag:
+            span = slice(s - lag, s + 1) if s >= lag else np.arange(s - lag, s + 1)  # x_{t-P}..x_t
+            h = head[span].tolist()
+            if h[-1] in h[:-1]:
+                # compared as bits: -0.0 == 0.0 and nan != nan as floats
+                bits = ring[span].view(np.uint64)
+                same = (bits[:-1] == bits[-1]).reshape(lag, -1).all(axis=1)
+                if same.any():
+                    p = int(same[::-1].argmax()) + 1  # the shortest period
+        if visit is not None and (p or t == t_max or s == size - 1 or s + 1 - run == block):
+            visit(t, ring[run : s + 1])
+            run = (s + 1) % size
+        if p:
+            return ring, t - p + 1 + np.arange(t_max - t) % p
+    return ring, np.arange(0)
+
+
 def _conditioned_tv(
     chain: FiniteAbsorbedChain, laws: np.ndarray, pairs: np.ndarray, t_max: int
 ) -> np.ndarray:
     """TV distance between the conditioned laws evolved from laws[i] and
     laws[j] for every row (i, j) of `pairs`, at t = 0..t_max: (len(pairs), t_max + 1).
 
-    The laws are stepped into a buffer of `block` times, sized to gather
-    about _TV_BLOCK_FLOATS floats per TV pass, and the TVs of a full buffer
-    are taken at once; the step into a block reads the last row of the
-    previous one.  `np.dot` makes the BLAS call of `@` with less overhead.
+    The laws are stepped by `_orbit`, and the TVs of each run of `block`
+    times are taken at once, `block` sized to gather about _TV_BLOCK_FLOATS
+    floats.  Past the orbit's first bitwise repeat the TV columns are
+    copied by period; each equals the column the step loop would compute,
+    bit for bit, since a step is a pure function of the laws it steps.
+    `np.dot` makes the BLAS call of `@` with less overhead.
     """
     q = chain.kernel
     a, b = pairs[:, 0], pairs[:, 1]
-    block = min(t_max + 1, max(1, _TV_BLOCK_FLOATS // (len(pairs) * chain.n)))
-    d = np.empty((block,) + laws.shape)
-    d[0] = laws
     tvs = np.empty((len(pairs), t_max + 1))
-    for t in range(t_max + 1):
-        s = t % block
-        if t:
-            row = d[s]
-            np.dot(d[s - 1], q, out=row)  # d[-1] at s == 0: the previous block's end
-            row /= np.add.reduce(row, 1, keepdims=True)
-        if s == block - 1 or t == t_max:
-            blk = d[: s + 1]
-            tvs[:, t - s : t + 1] = np.abs(blk.take(a, 1) - blk.take(b, 1)).sum(axis=2).T
+
+    def step(d, out):
+        np.dot(d, q, out=out)
+        out /= np.add.reduce(out, 1, keepdims=True)
+
+    def visit(t, blk):
+        tvs[:, t + 1 - len(blk) : t + 1] = np.abs(blk.take(a, 1) - blk.take(b, 1)).sum(axis=2).T
+
+    block = min(t_max + 1, max(1, _TV_BLOCK_FLOATS // (len(pairs) * chain.n)))
+    _, rest = _orbit(step, laws, t_max, block, visit)
+    tvs[:, t_max + 1 - len(rest) :] = tvs[:, rest]
     return tvs
 
 
@@ -475,16 +530,22 @@ def survival_ratio(
 def _survival_vectors(chain: FiniteAbsorbedChain, horizon: int) -> np.ndarray:
     """v_t = Q^t 1 / max(Q^t 1) for t = 0..horizon, (horizon + 1, n), read-only.
 
-    Cached per chain; a longer horizon than the cached one rebuilds it.
-    Every row has max exactly 1.0.
+    Stepped by `_orbit`; past the first bitwise repeat the rows are copied
+    by period, each equal to the row the step loop would compute, since a
+    step is a pure function of the vector it steps.  Cached per chain; a
+    longer horizon than the cached one rebuilds it.  Every row has max
+    exactly 1.0.
     """
     v = chain._cache.get("survival")
     if v is None or len(v) <= horizon:
-        v = np.empty((horizon + 1, chain.n))
-        v[0] = 1.0
-        for prev, row in zip(v, v[1:]):
-            np.dot(chain.kernel, prev, out=row)  # the BLAS call of `@`, with less overhead
+        q = chain.kernel
+
+        def step(prev, row):
+            np.dot(q, prev, out=row)  # the BLAS call of `@`, with less overhead
             row /= row[row.argmax()]  # the max, without the overhead of `max`
+
+        v, rest = _orbit(step, np.ones(chain.n), horizon)
+        v[horizon + 1 - len(rest) :] = v[rest]
         v.flags.writeable = False
         chain._cache["survival"] = v
     return v[: horizon + 1]
@@ -494,11 +555,14 @@ def _survival_ratios(
     chain: FiniteAbsorbedChain, laws: np.ndarray, horizon: int
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Ratios c_t(pi) for every row pi of `laws` and t = 0..horizon, (m, horizon + 1),
-    and their limits pi(eta)/||eta||_inf (None when the chain is not primitive)."""
-    vals = np.empty((horizon + 1, len(laws)))
-    for v, out in zip(_survival_vectors(chain, horizon), vals):
-        np.matmul(laws, v, out=out)  # one product per t: a single laws @ v.T rounds differently
-    vals = vals.T
+    and their limits pi(eta)/||eta||_inf (None when the chain is not primitive).
+
+    Bit for bit the per-t products laws @ v_t, as the survival sequence is.
+    """
+    v = _survival_vectors(chain, horizon)
+    # a stack of (n, 1) columns: matmul runs the gemv of laws @ v_t for each t;
+    # one laws @ v.T would be a gemm, which blocks the sums differently
+    vals = np.matmul(laws, v[:, :, None])[:, :, 0].T
     if not is_primitive(chain):
         return vals, None
     eta = qsd_spectral(chain).eta
@@ -573,7 +637,8 @@ def check_condition_A_prime(
     raw /= masses[:, :, None]  # now raw[x, y] = nu_{x,y}
 
     # nu_{x,y} = nu_{y,x} (swap u and v in the double sum): pairs x <= y suffice
-    vals, limits = _survival_ratios(chain, raw[np.triu_indices(n)], horizon)
+    upper = np.triu_indices(n)
+    vals, limits = _survival_ratios(chain, raw[upper], horizon)
     c2 = min(float(vals.min()), float(limits.min()))
     del raw, vals  # n^3 + n^2 (horizon + 1) / 2 floats the TV loop below does not need
 
@@ -592,7 +657,7 @@ def check_condition_A_prime(
 
     rate = 1.0 - c1 * c2
     t0 = 4 * t1
-    tvs = _conditioned_tv(chain, np.eye(n), np.transpose(np.triu_indices(n)), horizon)
+    tvs = _conditioned_tv(chain, np.eye(n), np.transpose(upper), horizon)
     worst_gap = float((2.0 * rate ** (np.arange(horizon + 1) // t0) - tvs).min())
     rep.check_ge("tv-decay-margin", worst_gap, 0.0, tol=tol)
     return ConditionAPrimeResult(c1=c1, c2=c2, A=A, t0=t0, report=rep)

@@ -42,12 +42,19 @@ def _loop_generator() -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=0))
 
 
+# the state of a fresh Philox with the key left to fill in: the setter copies
+# every field, so one template serves every re-key (of one thread at a time)
+_ZERO = np.zeros(4, dtype=_U64)
+_STEP_KEY = np.zeros(2, dtype=_U64)
+_FRESH = {"bit_generator": "Philox", "state": {"counter": _ZERO, "key": _STEP_KEY},
+          "buffer": _ZERO, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
 def step_generator(seed: int, step: int, g: np.random.Generator | None = None) -> np.random.Generator:
     """Generator for step `step`: the loop's own `g`, or a new one, as a fresh Philox keyed (seed, step)."""
     g = _loop_generator() if g is None else g
-    zero = np.zeros(4, dtype=_U64)
-    g.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": zero, "key": _key(seed, step)},
-                             "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    _STEP_KEY[0], _STEP_KEY[1] = int(seed) & (2**64 - 1), int(step) & (2**64 - 1)
+    g.bit_generator.state = _FRESH
     return g
 
 

@@ -36,7 +36,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .domains import DomainError
+from .domains import DomainError, InnerCompact
 from .models import DiffusionModel
 from .rng import _loop_generator, step_generator, stream_generator
 
@@ -373,13 +373,18 @@ def hitting_before(
     dt: float,
     bridge: bool = True,
 ) -> tuple[float, float]:
-    """MC estimate of the joint event {T_K <= t1} and {t1 < tau}."""
+    """MC estimate of the joint event {T_K <= t1} and {t1 < tau}.
+
+    For an `InnerCompact` of the model's own domain, membership after a step
+    is read off the rho_boundary that the step already computed.
+    """
     pos = _start_cloud(model, x, n)
     hit = target.contains(pos)  # per alive path: has it been in K yet
+    inner = isinstance(target, InnerCompact) and target.domain is model.domain
 
     def visit(step, idx, state):
         nonlocal hit
-        hit = hit.take(idx) | target.contains(state[0])
+        hit = hit.take(idx) | (state[1] >= target.eps if inner else target.contains(state[0]))
         return state
 
     _snapshots(model, [pos], [t1], dt, [seed], bridge=bridge, after=visit)

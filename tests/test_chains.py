@@ -12,6 +12,7 @@ from qsd.chains import (
     PrimitivityError,
     _conditioned_tv,
     _green_iteration,
+    _orbit,
     _pair_nu_raw,
     _survival_ratios,
     _survival_vectors,
@@ -394,6 +395,19 @@ def test_survival_ratios_equal_the_step_loop_bit_for_bit():
         assert np.array_equal(vals, survival_ratios_reference(q, laws, horizon))
 
 
+@pytest.mark.parametrize("n", [1, 5, 6, 20, 40, 160])
+def test_stacked_survival_products_equal_the_step_loop_bit_for_bit(n):
+    """The one stacked matmul over every t rounds as the per-t products do,
+    for 1 to 820 laws."""
+    rng = np.random.default_rng(41 + n)
+    chain = FiniteAbsorbedChain(random_positive_chain(rng, n, 0.9))
+    for m in (1, 2, 7, 15, 820):
+        laws = rng.exponential(size=(m, n))
+        laws /= laws.sum(axis=1, keepdims=True)
+        vals, _ = _survival_ratios(chain, laws, 100)
+        assert np.array_equal(vals, survival_ratios_reference(chain.kernel, laws, 100))
+
+
 def test_survival_sequence_cache_across_horizons():
     # one chain asked for 50, then 100 (a rebuild), then 60 (a slice) answers
     # as a fresh chain does at each horizon
@@ -439,6 +453,171 @@ def test_conditioned_tv_equals_the_step_loop_bit_for_bit(monkeypatch, n, pairs, 
     tvs = _conditioned_tv(FiniteAbsorbedChain(q), laws, pairs, t_max)
     assert tvs.shape == (len(pairs), t_max + 1)
     assert np.array_equal(tvs, conditioned_tv_reference(q, laws, pairs, t_max))
+
+
+# --- orbit truncation at the first bitwise repeat ---------------------------------
+
+P = chains._CYCLE_LAG
+
+
+def _lasso(lead, period):
+    """An `_orbit` step on states (k, -k): k climbs to `lead`, then cycles
+    with `period`; returns the step and the list that counts its calls."""
+    calls = []
+
+    def step(x, out):
+        calls.append(None)
+        k = x[0] + 1 if x[0] < lead else lead + (x[0] + 1 - lead) % period
+        out[:] = k, 0.0 - k  # +0.0 at k = 0, so x_0 recurs bit for bit
+
+    return step, calls
+
+
+def _step_loop(step, first, t_max):
+    """Every state x_0..x_t_max of `step`, one step after another."""
+    xs = [np.array(first, dtype=float)]
+    for _ in range(t_max):
+        xs.append(np.empty_like(xs[0]))
+        step(xs[-2], xs[-1])
+    return np.array(xs)
+
+
+def _count_orbit_steps(monkeypatch):
+    """Per `_orbit` call, the number of steps it takes."""
+    counts = []
+    real = chains._orbit
+
+    def counted(step, *args):
+        counts.append(0)
+
+        def counting(x, out):
+            counts[-1] += 1
+            step(x, out)
+
+        return real(counting, *args)
+
+    monkeypatch.setattr(chains, "_orbit", counted)
+    return counts
+
+
+@pytest.mark.parametrize("lead", [0, 3, 13])
+@pytest.mark.parametrize("period", [1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 16])
+def test_orbit_stops_at_the_first_test_after_a_repeat(lead, period):
+    """A repeat x_{lead + period} = x_lead with period <= P stops the loop
+    at the next multiple of P; a longer period runs all t_max steps.  The
+    ring plus the returned source times give the whole orbit."""
+    t_max = 60
+    step, calls = _lasso(lead, period)
+    ring, rest = _orbit(step, np.zeros(2), t_max)
+    stop = -(-(lead + period) // P) * P if period <= P else t_max
+    assert len(calls) == stop and len(rest) == t_max - stop
+    full = _step_loop(_lasso(lead, period)[0], np.zeros(2), t_max)
+    assert np.array_equal(np.concatenate([ring[: stop + 1], ring[rest]]), full)
+    if period <= P:  # the shortest period
+        assert (rest[:period] == np.arange(stop + 1 - period, stop + 1)).all()
+
+
+@pytest.mark.parametrize("block", [1, 2, 5, 9, 12])
+@pytest.mark.parametrize("lead, period", [(13, 3), (10, 7), (0, 1), (20, 8), (2, 9)])
+def test_orbit_visits_runs_of_block_states_across_ring_wraps(block, lead, period):
+    """The ring holds max(block, P + 1) states; `visit` sees every state up
+    to the stop once, in order, in runs of at most `block` that do not wrap."""
+    t_max = 45
+    step, calls = _lasso(lead, period)
+    seen, times = [], []
+
+    def visit(t, states):
+        assert 1 <= len(states) <= block
+        times.extend(range(t + 1 - len(states), t + 1))
+        seen.extend(states.copy())
+
+    ring, rest = _orbit(step, np.zeros(2), t_max, block, visit)
+    assert len(ring) == max(block, P + 1)
+    assert times == list(range(len(calls) + 1)) and len(rest) == t_max - len(calls)
+    full = _step_loop(_lasso(lead, period)[0], np.zeros(2), t_max)
+    assert np.array_equal(np.array(seen), full[: len(calls) + 1])
+    assert np.array_equal(full[len(calls) + 1 :], full[rest])
+
+
+@pytest.mark.parametrize("t_max", [0, 1, 5, P - 1])
+def test_orbit_below_one_test_runs_every_step(t_max):
+    step, calls = _lasso(0, 1)  # a fixed point from t = 1 on
+    ring, rest = _orbit(step, np.zeros(2), t_max)
+    assert len(calls) == t_max and len(rest) == 0 and len(ring) == t_max + 1
+    assert np.array_equal(ring, _step_loop(_lasso(0, 1)[0], np.zeros(2), t_max))
+
+
+def test_orbit_compares_whole_states_as_bits():
+    """x -> -x from (0, nan) has period 2 in bits, though 0.0 == -0.0 and
+    nan != nan as floats; the orbit repeats the signed zeros in turn.  A
+    state whose first float repeats but whose rest does not never stops."""
+
+    def flip(x, out):
+        np.negative(x, out=out)
+
+    ring, rest = _orbit(flip, np.array([0.0, np.nan]), 20)
+    assert len(rest) == 20 - P
+    states = np.concatenate([ring[: P + 1], ring[rest]])
+    assert np.array_equal(states.view(np.uint64), _step_loop(flip, [0.0, np.nan], 20).view(np.uint64))
+
+    def count(x, out):
+        out[:] = x[0], x[1] + 1
+
+    ring, rest = _orbit(count, np.array([1.0, 0.0]), 20)
+    assert len(rest) == 0 and (ring[:, 1] == np.arange(21)).all()
+
+
+def test_conditioned_tv_finds_a_cycle_across_a_ring_wrap(monkeypatch):
+    """A small _TV_BLOCK_FLOATS gives blocks of 2 times in a ring of P + 1;
+    the 20 laws of a dense 5-state chain repeat before t_max, and the TVs
+    equal the step loop's, bit for bit."""
+    monkeypatch.setattr(chains, "_TV_BLOCK_FLOATS", 2 * 10 * 5)
+    steps = _count_orbit_steps(monkeypatch)
+    rng = np.random.default_rng(31)
+    q = random_positive_chain(rng, 5, 0.9)
+    laws = rng.exponential(size=(20, 5))
+    laws /= laws.sum(axis=1, keepdims=True)
+    pairs = np.arange(20).reshape(-1, 2)
+    tvs = _conditioned_tv(FiniteAbsorbedChain(q), laws, pairs, 100)
+    assert np.array_equal(tvs, conditioned_tv_reference(q, laws, pairs, 100))
+    [taken] = steps
+    assert P + 1 < taken < 100 and taken % (P + 1) < P  # the test at the stop reads across the wrap
+
+
+def test_orbits_without_a_short_cycle_run_every_step(monkeypatch):
+    """The slow-mixing killed lazy walk finds no repeat within 100 steps."""
+    steps = _count_orbit_steps(monkeypatch)
+    n = 40
+    q = 0.5 * np.eye(n) + 0.25 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    laws = np.eye(n)[[0, n // 2, 3, n - 1]]
+    _survival_vectors(FiniteAbsorbedChain(q), 100)
+    _conditioned_tv(FiniteAbsorbedChain(q), laws, np.array([[0, 1], [2, 3]]), 100)
+    assert steps == [100, 100]
+    assert np.array_equal(_survival_ratios(FiniteAbsorbedChain(q), laws, 100)[0], survival_ratios_reference(q, laws, 100))
+
+
+def test_one_state_chain_repeats_from_the_first_step(monkeypatch):
+    steps = _count_orbit_steps(monkeypatch)
+    chain = FiniteAbsorbedChain(np.array([[0.5]]))
+    assert (_survival_vectors(chain, 100) == 1.0).all()
+    assert (_conditioned_tv(chain, np.ones((2, 1)), np.array([[0, 1]]), 100) == 0.0).all()
+    assert steps == [P, P]
+
+
+def test_dense_survival_sequence_stops_within_two_tests(monkeypatch):
+    """On dense 5-state chains at horizon 100 the survival sequence repeats
+    by t = 16, and the truncated rows equal the step loop's, bit for bit."""
+    steps = _count_orbit_steps(monkeypatch)
+    rng = np.random.default_rng(37)
+    for _ in range(20):
+        q = random_positive_chain(rng, 5, 0.9)
+        v = _survival_vectors(FiniteAbsorbedChain(q), 100)
+        assert steps[-1] <= 2 * P
+        full = np.ones((101, 5))
+        for prev, row in zip(full, full[1:]):
+            row[:] = q @ prev
+            row /= row.max()
+        assert np.array_equal(v, full)
 
 
 def test_survival_ratio_non_primitive_flag():

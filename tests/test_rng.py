@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qsd.rng
-from qsd.rng import _loop_generator, step_generator, stream_generator
+from qsd.rng import _key, _loop_generator, step_generator, stream_generator
 
 
 def fresh(seed, step):
@@ -44,6 +44,24 @@ def test_rekeyed_generator_equals_a_fresh_philox(seed, step, used):
     assert state["state"]["counter"].tolist() == want["state"]["counter"].tolist()
     assert (state["buffer_pos"], state["has_uint32"]) == (want["buffer_pos"], want["has_uint32"])
     assert_same_draws(g, fresh(seed, step))
+
+
+def test_rekeys_in_turn_from_one_template_equal_fresh_philox():
+    """One generator re-keyed again and again, each time right after an odd
+    number of 32-bit draws (half a 64-bit word left buffered), draws as a
+    fresh `Philox(key=_key(seed, step))`; re-keying a second generator in
+    between leaves the first one's stream alone."""
+    own, other = _loop_generator(), _loop_generator()
+    for seed in (0, 2**63 + 5, 2**64 - 1, 0):
+        for step in (0, 1, 2**64 - 1):
+            g = step_generator(seed, step, own)
+            step_generator(seed + 1, step ^ 1, other).standard_normal(2)
+            want = np.random.Generator(np.random.Philox(key=_key(seed, step)))
+            assert_same_draws(g, want)
+            tail = [g.integers(0, 2**32, dtype=np.uint32)]  # one 32-bit draw each
+            while g.bit_generator.state["has_uint32"] == 0:
+                tail.append(g.integers(0, 2**32, dtype=np.uint32))
+            assert tail == [want.integers(0, 2**32, dtype=np.uint32) for _ in tail]
 
 
 def test_new_step_generator_equals_a_fresh_philox():

@@ -388,6 +388,41 @@ def test_hitting_and_tube_equal_the_reference_loops(name, bridge, monkeypatch, t
     assert dict(tally) == dict(drawn) and tally["generators"] > 0
 
 
+def test_inner_compact_hits_read_the_step_rho(monkeypatch):
+    """On the `boundary-return` inputs (2-d box, eps = 0.25, t1 = 0.1,
+    dt = 2e-3, 2,000 paths), `hitting_before` with an `InnerCompact` of the
+    model's own domain reads membership off the rho each `_step` returns:
+    one `rho_boundary` call per step plus those of the start (a run with
+    t1 = 0).  A target on a copy of the domain takes the `contains` path,
+    with a second call per step, and gives the same estimates, bit for bit."""
+    model = model_of("box2")
+    calls = collections.Counter()
+    real_rho, real_step = Box.rho_boundary, qsd.simulate._step
+
+    def rho(self, x):
+        calls["rho"] += 1
+        return real_rho(self, x)
+
+    def step(*args):
+        calls["step"] += 1
+        return real_step(*args)
+
+    monkeypatch.setattr(Box, "rho_boundary", rho)
+    monkeypatch.setattr(qsd.simulate, "_step", step)
+    own, copy = InnerCompact(model.domain, 0.25), InnerCompact(Box(model.domain.lo, model.domain.hi), 0.25)
+    assert copy.domain is not model.domain
+    start = hitting_before(model, [1.0, 1.0], own, 0.0, 2000, 3, dt=2e-3)
+    assert start == (1.0, 0.0) and calls["step"] == 0
+    n_start = calls["rho"]
+    for k, x in enumerate(([0.05, 1.0], [1.0, 0.1], [1.9, 0.5], [0.2, 0.2])):
+        calls.clear()
+        got = hitting_before(model, x, own, 0.1, 2000, substream(107, 70, k), dt=2e-3)
+        assert calls["step"] > 0 and calls["rho"] == calls["step"] + n_start
+        calls.clear()
+        assert got == hitting_before(model, x, copy, 0.1, 2000, substream(107, 70, k), dt=2e-3)
+        assert calls["rho"] == 2 * calls["step"] + n_start
+
+
 # --- the exit loop of scale1d ------------------------------------------------------
 
 
