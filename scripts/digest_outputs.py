@@ -21,7 +21,11 @@ status).  An estimator that raises is digested as its exception.
 `--small` shrinks the path counts and horizons, keeps the chains at
 n <= 40 and runs only the two fast bundled configs, for a smoke run of a
 few seconds.
-Only numpy is needed.
+Only numpy is needed.  The script sets `OPENBLAS_NUM_THREADS`,
+`OMP_NUM_THREADS` and `MKL_NUM_THREADS` to 1 before it imports numpy, as
+`perfbench/run.py` does: some chain digests (the n = 512 and n = 520 lazy
+walks) change with the BLAS thread count, so two checkouts digested under
+different thread counts would differ without any change in the code.
 """
 
 from __future__ import annotations
@@ -38,7 +42,10 @@ import tempfile
 from functools import partial
 from pathlib import Path
 
-import numpy as np
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # before numpy loads its BLAS, as perfbench pins it
+
+import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))

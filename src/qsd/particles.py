@@ -153,8 +153,8 @@ def fleming_viot_run(
     rebirth_count = np.zeros(n_steps, dtype=np.int64)
     total = 0
     pos, rho, own = _columns(pos), model.domain.rho_boundary(pos), _loop_generator()
-    for step in range(n_steps):
-        g = step_generator(seed, step, own)  # also draws the rebirth donors
+    for step in range(n_steps):  # one batch, never compacted: not on `simulate._batches`
+        g = step_generator(seed, step, own)  # also draws the rebirth donors, after the variates
         pos, alive, rho = _step(model, pos, _variates(model.dim, [(g, n)]), dt, bridge, rho)
         dead = np.flatnonzero(~alive)
         if dead.size:

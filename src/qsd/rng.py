@@ -12,11 +12,11 @@ ROADMAP.md.
 Probe-level seeds are derived from the master seed with `substream`, so
 independent probes never share a stream.
 
-A stepping loop owns one generator per batch, held by no other code, and
-re-keys it for each step to the state of a fresh `Philox(key=(seed, step))`:
-that skips the OS-entropy seeding a new Philox does before its key
-overwrites it.  Batches that share a stepping loop each keep their own step
-and draw from their own (seed, step) block in their own slot order, so
+The two path-noise loops, `simulate._batches` and Fleming-Viot's, own one
+generator per batch, held by no other code, and re-key it each step to the
+state of a fresh `Philox(key=(seed, step))`: that skips the OS-entropy
+seeding a new Philox does before its key overwrites it.  Batches sharing
+the driver keep their own steps and (seed, step) blocks and slot orders, so
 sharing changes no variate.  Normals are drawn row-major, held column-major.
 """
 

@@ -5,10 +5,10 @@ rate a; its scale function f(x) = (e^{2ax} - 1)/(2a) turns it into a
 martingale N with dN = (1 + 2 a N) dW and speed density (1 + 2av)^{-2}.
 All Green-formula integrals are evaluated in closed form; Monte-Carlo
 routines exist only to confront the closed forms and the escape bounds.
-The u's of an escape check share one loop, each at its own step and on its
-own (seed, step) block in its own slot order, so sharing changes no variate.
-The exit loop evaluates its two bridge-crossing probabilities only on the
-paths near a barrier, where they can fire (see `_exit_mc`).
+The u's of an escape check share one loop, `simulate._batches`, each at its
+own step and on its own (seed, step) block in its own slot order, so sharing
+changes no variate.  Its step evaluates the two bridge-crossing
+probabilities only near a barrier, where they can fire (see `_exit_mc`).
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .report import VerificationReport
-from .rng import _loop_generator, step_generator
-from .simulate import _BAND, _admitted, _alive_rows, _variates
+from .simulate import _BAND, _batches
 
 _A_TINY = 1e-12
 
@@ -139,7 +138,7 @@ def natural_scale_exit_mc(
     3 = still inside at the horizon.  Both barriers get the Brownian-bridge
     crossing correction with the locally frozen volatility.  One uniform
     decides between the two barriers and the exit side is recorded, which
-    is why this loop does not use the alive-mask kernel `simulate._step`.
+    is why its step is not the alive-mask kernel `simulate._step`.
     """
     if not 0 < u < hi:
         raise ValueError("need 0 < u < hi")
@@ -148,9 +147,9 @@ def natural_scale_exit_mc(
 
 def _exit_mc(a, us, hi, horizon, n, seeds, *, dt):
     """(state, exit_time) of `natural_scale_exit_mc` from every start us[k]
-    on seeds[k], in one array of live paths compacted after every step with
-    each start's paths in order.  Starts are admitted and retired as in
-    `simulate._snapshots`, each with its own step: a path's exit time.
+    on seeds[k], in one `simulate._batches` loop of 1-d row arrays, the
+    positions and each path's index in `state`.  Each start has its own
+    step, and is admitted and retired as a batch of `_batches`.
 
     The crossing probabilities p_hi and p_lo are only evaluated in the band
     where a gap product, (hi - x)(hi - x') or x x', is below _BAND times the
@@ -160,24 +159,15 @@ def _exit_mc(a, us, hi, horizon, n, seeds, *, dt):
     settle the path as evaluating them would: bit for bit."""
     n_steps, sqdt = int(np.ceil(horizon / dt - 1e-9)), np.sqrt(dt)
     state, stop = np.full(len(us) * n, 3, dtype=np.int8), np.full(len(us) * n, -1)  # 3 unless it exits, at loop step stop
-    pos, path, queued, it = np.empty(0), np.empty(0, dtype=np.intp), 0, 0  # live paths, index in state, loop step
-    live, rows, born = [], [], [0] * len(us)  # per live start (k, generator), paths inside; loop step admitted
-    while True:  # start k is at its own step it - born[k]
-        admit = _admitted([n] * (len(us) - queued), pos.size) if queued < len(us) else 0
-        if admit:
-            pos = np.concatenate([pos] + [np.full(n, float(u)) for u in us[queued : queued + admit]])
-            path = np.concatenate([path, np.arange(queued * n, (queued + admit) * n)])
-            live, rows = live + [(k, _loop_generator()) for k in range(queued, queued + admit)], rows + [n] * admit
-            born[queued : queued + admit], queued = [it] * admit, queued + admit
-        done = [it - born[k] == n_steps or not r for (k, _), r in zip(live, rows)]
-        if any(done):
-            kept = np.repeat(np.logical_not(done), rows)
-            pos, path = pos[kept], path[kept]
-            live, rows = [b for b, d in zip(live, done) if not d], [r for r, d in zip(rows, done) if not d]
-            continue
-        if not live:
-            break
-        z, un = _variates(1, [(step_generator(seeds[k], it - born[k], g), r) for (k, g), r in zip(live, rows)])
+    born, it = [0] * len(us), 0  # loop step each start joined at, and loop steps taken: start k is at it - born[k]
+
+    def fill(k):
+        born[k] = it
+        return np.full(n, float(us[k])), np.arange(k * n, (k + 1) * n)
+
+    def step(cols, noise):
+        nonlocal it
+        (pos, path), (z, un) = cols, noise
         sig = 1.0 + 2.0 * a * pos
         new = pos + sig * sqdt * z[:, 0]
         var = sig * sig * dt
@@ -195,7 +185,10 @@ def _exit_mc(a, us, hi, horizon, n, seeds, *, dt):
         state[path[hit_lo]] = 2
         keep = ~(hit_hi | hit_lo)
         stop[path[~keep]] = it
-        pos, path, rows, it = new[keep], path[keep], _alive_rows(keep, rows, np.count_nonzero(keep)), it + 1
+        it += 1
+        return (new, path), keep
+
+    _batches(1, [n] * len(us), seeds, fill, step, n_steps)
     exit_time = np.where(stop < 0, np.inf, (stop - np.repeat(born, n) + 1) * dt)  # at the start's own step
     return [(state[k * n : (k + 1) * n], exit_time[k * n : (k + 1) * n]) for k in range(len(us))]
 

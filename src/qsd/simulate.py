@@ -15,8 +15,8 @@ bound of sigma_n^2 from the field, and on paths whose uniform is 0 (see
 
 The estimators here and in `particles` advance their paths through one
 kernel, `_step`, whose noise `_variates` draws from a per-(seed, step)
-Philox block (see `rng`) in slot order.  Besides `simulate_path` and
-Fleming-Viot they all run on one loop, `_snapshots`, which compacts
+Philox block (see `rng`) in slot order.  All but Fleming-Viot run on one
+batch driver, `_batches`, as does the exit loop of `scale1d`; it compacts
 absorbed paths away: a path's slot is its rank among its batch's alive
 paths.  Its variate is then a function of (seed, step, alive slot), not of
 its original index: it depends on which paths died earlier, and splitting
@@ -128,14 +128,61 @@ def _variates(dim, draws):
     return _columns(np.concatenate(z)), np.concatenate([g.random(k) for g, k in draws])
 
 
-def _alive_rows(alive, rows, total):
-    """Alive paths per batch from slices of the alive mask (batch b held
-    rows[b] slots); the last batch has the rest of the `total` alive."""
-    out, lo = [], 0
-    for k in rows[:-1]:
-        out.append(int(np.count_nonzero(alive[lo : lo + k])))
-        lo += k
-    return out + [total - sum(out)]
+def _batches(dim, sizes, seeds, fill, body, n_steps, *, slots=None, visit=None, after=None):
+    """Step batches k = 0, 1, ..., of sizes[k] coordinates (rows x `dim`) each, in one loop.
+
+    The live rows are arrays `cols`, each batch's in order, the first its paths: `fill(k)`
+    gives batch k's, a 2-d one held by `_columns`.  Before a step, batches at step `n_steps`
+    or with no alive path retire, queued ones join at step 0 while they fit (`_admitted`),
+    and `visit(k, step, x, lo, r)` sees each live batch k, rows lo:lo + r of x = cols[0].
+    Batch k draws from its own generator's (seeds[k], step) block; `body(cols, noise)` gives
+    the stepped cols and the alive mask they are compacted by (the mask itself if all are
+    1-d and no `after`), so a row-wise body keeps each batch's bits its own.  With `slots`,
+    all share the one seed `seeds`, join and retire together, and row r takes variate
+    cols[-1][r] of `slots` drawn.  `after(step, idx, cols, rows)` runs after compaction
+    (`idx` the alive rows, `rows` the alive paths per batch) and returns the (cols, rows)
+    that go on; with it the batches share a step.
+    """
+    queue = [([k], s) for k, s in enumerate(sizes)] if slots is None else [(range(len(sizes)), sum(sizes))]
+    cols, live, rows, queued = None, [], [], 0  # per live batch: [k, step, generator], and its alive paths
+
+    def kept(mask):  # cols at the rows where `mask` holds, and the index they are taken by
+        idx = mask if flat else np.flatnonzero(mask)
+        return tuple([c[idx] for c in cols] if flat else [_take(c, idx) for c in cols]), idx
+
+    while True:
+        admit = _admitted([s for _, s in queue[queued:]], sum(rows) * dim) if queued < len(queue) else 0
+        if admit:
+            fresh, queued = [k for grp, _ in queue[queued : queued + admit] for k in grp], queued + admit
+            cols = tuple(_columns(c) if c.ndim == 2 else c
+                         for c in map(np.concatenate, zip(*([] if cols is None else [cols]), *map(fill, fresh))))
+            live, rows = live + [[k, 0, _loop_generator()] for k in fresh], rows + [sizes[k] // dim for k in fresh]
+            flat = after is None and all(c.ndim == 1 for c in cols)
+        if visit is not None:
+            for (k, step, _), r, lo in zip(live, rows, accumulate(rows, initial=0)):
+                visit(k, step, cols[0], lo, r)
+        done = [step == n_steps or not (r if slots is None else sum(rows)) for (_, step, _), r in zip(live, rows)]
+        if any(done):
+            cols, _ = kept(np.repeat(np.logical_not(done), rows))
+            live, rows = [b for b, d in zip(live, done) if not d], [r for r, d in zip(rows, done) if not d]
+            continue
+        if not live:
+            break
+        if slots is None:
+            noise = _variates(dim, [(step_generator(seeds[k], j, g), r) for (k, j, g), r in zip(live, rows)])
+        else:
+            z, u = _variates(dim, [(step_generator(seeds, live[0][1], live[0][2]), slots)])
+            noise = _take(z, cols[-1]), u.take(cols[-1])
+        cols, alive = body(cols, noise)
+        total = np.count_nonzero(alive)
+        if after is not None or total < len(alive):  # else the rows stand as they are
+            cols, idx = kept(alive)
+            counts = [np.count_nonzero(alive[lo : lo + r]) for r, lo in zip(rows[:-1], accumulate(rows, initial=0))]
+            rows = counts + [total - sum(counts)]
+        for b in live:
+            b[1] += 1
+        if after is not None:
+            cols, rows = after(live[0][1], idx, cols, rows)
 
 
 def _step(model, x, noise, dt, bridge, rho):
@@ -201,33 +248,23 @@ def simulate_path(
     if not model.domain.contains(x)[0]:
         raise DomainError(f"start {x0!r} is not in the open domain")
     dt, bridge = config.dt, config.bridge_correction
-    times = [0.0]
-    positions = [x[0].copy()]
-    hit_time = np.inf
-    if target is not None and bool(target.contains(x)[0]):
-        hit_time = 0.0
-    absorption_time = np.inf
-    rho, g = model.domain.rho_boundary(x), _loop_generator()
-    for step in range(config.n_steps):
-        draw = [(step_generator(config.seed, step, g), 1)]
-        x_new, alive, rho_new = _step(model, x, _variates(model.dim, draw), dt, bridge, rho)
+    positions = [x[0].copy()]  # one per sample time up to the last one inside
+    hit_time = 0.0 if target is not None and bool(target.contains(x)[0]) else np.inf
+
+    def step(cols, noise):
+        nonlocal hit_time
+        x_new, alive, rho = _step(model, cols[0], noise, dt, bridge, cols[1])
         if not np.isfinite(x_new).all():
-            raise NumericalBlowupError(step)
-        t = (step + 1) * dt
-        if not alive[0]:
-            absorption_time = t
-            break
-        x, rho = x_new, rho_new
-        times.append(t)
-        positions.append(x[0].copy())
-        if target is not None and not np.isfinite(hit_time) and bool(target.contains(x)[0]):
-            hit_time = t
-    return AbsorbedPath(
-        times=np.array(times),
-        positions=np.array(positions),
-        absorption_time=absorption_time,
-        hit_time=hit_time,
-    )
+            raise NumericalBlowupError(len(positions) - 1)
+        if alive[0]:
+            positions.append(x_new[0].copy())
+            if target is not None and hit_time == np.inf and bool(target.contains(x_new)[0]):
+                hit_time = (len(positions) - 1) * dt
+        return (x_new, rho), alive
+
+    _batches(model.dim, [model.dim], [config.seed], lambda k: (x, model.domain.rho_boundary(x)), step, config.n_steps)
+    k = len(positions)
+    return AbsorbedPath(np.arange(k) * dt, np.array(positions), k * dt if k <= config.n_steps else np.inf, hit_time)
 
 
 @dataclass
@@ -255,23 +292,12 @@ def _snap_steps(times, dt) -> list[int]:
 
 
 def _snapshots(model, clouds, times, dt, seeds, *, bridge=True, keep_positions=(), after=None):
-    """`survival_snapshots` of every cloud k on seeds[k], in order, in one
-    stepping loop.  Every cloud, dt and time is checked before any step.
-
-    The live paths are one (n, d) array held by `_columns`, each batch's rows
-    in order, and a step is one `_step`.  Each batch has its own step and
-    generator.  Before a step the loop retires the batches at the last
-    snapshot or with no alive path, then admits queued ones, each at its
-    step 0, while they fit in _STACK (`_admitted`).  `_step` is row-wise and
-    a batch draws from its own (seed, step) block, so its bits do not depend
-    on the others.  With one seed in place of the list, the clouds (n paths
-    each) share its noise: a step draws n variates, and row r takes those of
-    slot[r], its row in its cloud, carried through compaction.  Such
-    clouds, and those of a call with `after`, share one step index: they are
-    admitted at once and retire together.
-    `after(step, idx, (x, rho, rows, slot))`, run after each step's
-    compaction with `idx` the alive rows, returns the state that goes on;
-    slot is None for independent batches.
+    """`survival_snapshots` of every cloud k on seeds[k], in order, on
+    `_batches` with one `_step` a step; every cloud, dt and time is checked
+    before any step.  With one seed in place of the list, the clouds (n
+    paths each) share its noise: row r takes the variates of its slot, its
+    row in its cloud, the last row array.  `after` is the driver's hook,
+    on cols (x, rho) or, with shared noise, (x, rho, slot).
     """
     clouds = [c[:, None] if c.ndim == 1 else c for c in (np.asarray(c, dtype=float) for c in clouds)]
     if not all(model.domain.contains(c).all() for c in clouds):
@@ -280,46 +306,26 @@ def _snapshots(model, clouds, times, dt, seeds, *, bridge=True, keep_positions=(
     snap = _snap_steps(times, dt)
     at = {s: [ti for ti, t in enumerate(snap) if t == s] for s in snap}  # the snapshots of each step
     keep = set(_snap_steps(keep_positions, dt))
-    shared, n_steps = np.ndim(seeds) == 0, max(snap) if snap else 0
-    solo = not shared and after is None  # each batch admitted and retired on its own
-    queue = [([k], c.size) for k, c in enumerate(clouds)] if solo else [(range(len(clouds)), sum(map(np.size, clouds)))]
+    shared = np.ndim(seeds) == 0
     counts = np.zeros((len(clouds), len(times)), dtype=np.int64)  # 0 after every path died
     positions: list[dict[float, np.ndarray]] = [{} for _ in clouds]
-    x, rho, slot, queued = np.empty((0, model.dim)), np.empty(0), None, 0
-    live, rows = [], []  # per live batch: [cloud, step, generator], and its alive paths
-    while True:
-        admit = _admitted([size for _, size in queue[queued:]], x.size) if queued < len(queue) else 0
-        fresh, queued = [k for grp, _ in queue[queued : queued + admit] for k in grp], queued + admit
-        if fresh:
-            x = _columns(np.concatenate([x] + [clouds[k] for k in fresh]))
-            rho = np.concatenate([rho] + [model.domain.rho_boundary(clouds[k]) for k in fresh])
-            slot = np.tile(np.arange(len(clouds[0])), len(clouds)) if shared else None
-            live, rows = live + [[k, 0, _loop_generator()] for k in fresh], rows + [len(clouds[k]) for k in fresh]
-        for (k, step, _), r, lo in zip(live, rows, accumulate(rows, initial=0)):
-            for ti in at.get(step, ()):
-                counts[k, ti] = r
-                if step in keep:
-                    positions[k][times[ti]] = x[lo : lo + r].copy()
-        done = [step == n_steps or not (r if solo else sum(rows)) for (_, step, _), r in zip(live, rows)]
-        if any(done):
-            idx = np.flatnonzero(np.repeat(np.logical_not(done), rows))
-            x, rho = _take(x, idx), rho.take(idx)
-            live, rows = [b for b, d in zip(live, done) if not d], [r for r, d in zip(rows, done) if not d]
-            continue
-        if not live:
-            break
-        if shared:
-            z, u = _variates(model.dim, [(step_generator(seeds, live[0][1], live[0][2]), len(clouds[0]))])
-            noise = _take(z, slot), u.take(slot)
-        else:
-            noise = _variates(model.dim, [(step_generator(seeds[k], j, g), r) for (k, j, g), r in zip(live, rows) if r])
-        x_new, alive, rho_new = _step(model, x, noise, dt, bridge, rho)
-        idx = np.flatnonzero(alive)
-        x, rho, rows = _take(x_new, idx), rho_new.take(idx), _alive_rows(alive, rows, idx.size)
-        slot = None if slot is None else slot.take(idx)
-        live = [[k, j + 1, g] for k, j, g in live]
-        if after is not None:
-            x, rho, rows, slot = after(live[0][1], idx, (x, rho, rows, slot))
+
+    def fill(k):
+        c = clouds[k]
+        return (c, model.domain.rho_boundary(c)) + ((np.arange(len(c)),) if shared else ())
+
+    def step(cols, noise):
+        x, alive, rho = _step(model, cols[0], noise, dt, bridge, cols[1])
+        return (x, rho) + cols[2:], alive
+
+    def visit(k, step, x, lo, r):
+        for ti in at.get(step, ()):
+            counts[k, ti] = r
+            if step in keep:
+                positions[k][times[ti]] = x[lo : lo + r].copy()
+
+    _batches(model.dim, [c.size for c in clouds], seeds, fill, step, max(snap, default=0),
+             slots=len(clouds[0]) if shared and clouds else None, visit=visit, after=after)
     return [SnapshotResult(np.array(times), c, len(cloud), p) for c, cloud, p in zip(counts, clouds, positions)]
 
 
@@ -354,8 +360,6 @@ def survival_probability(
     bridge: bool = True,
 ) -> tuple[float, float]:
     """Monte-Carlo survival probability P_x(t < tau) with binomial SE."""
-    if t == 0 and n >= 100:  # _start_cloud rejects n < 100
-        return 1.0, 0.0
     starts = _start_cloud(model, x, n)
     res = survival_snapshots(model, starts, [t], dt, seed, bridge=bridge)
     p = float(res.counts[0]) / n
@@ -382,12 +386,12 @@ def hitting_before(
     hit = target.contains(pos)  # per alive path: has it been in K yet
     inner = isinstance(target, InnerCompact) and target.domain is model.domain
 
-    def visit(step, idx, state):
+    def mark(step, idx, cols, rows):
         nonlocal hit
-        hit = hit.take(idx) | (state[1] >= target.eps if inner else target.contains(state[0]))
-        return state
+        hit = hit.take(idx) | (cols[1] >= target.eps if inner else target.contains(cols[0]))
+        return cols, rows
 
-    _snapshots(model, [pos], [t1], dt, [seed], bridge=bridge, after=visit)
+    _snapshots(model, [pos], [t1], dt, [seed], bridge=bridge, after=mark)
     p = float(hit.sum()) / n
     return p, float(np.sqrt(p * (1 - p) / n))
 
@@ -409,12 +413,12 @@ def tube_probability(
     center = np.atleast_1d(np.asarray(y, dtype=float))
     [k1] = _snap_steps([t1], dt)
 
-    def in_tube(step, idx, state):  # kills the paths outside B(y, r) from step k1 on
-        pts, rho, _, slot = state
+    def in_tube(step, idx, cols, rows):  # kills the paths outside B(y, r) from step k1 on
         if step < k1:
-            return state
+            return cols, rows
+        pts, rho = cols
         inside = np.flatnonzero(np.linalg.norm(pts - center, axis=1) <= radius)
-        return _take(pts, inside), rho.take(inside), [inside.size], slot
+        return (_take(pts, inside), rho.take(inside)), [inside.size]
 
     [res] = _snapshots(model, [pos], [2 * t1], dt, [seed], bridge=bridge, after=in_tube)
     p = float(res.counts[0]) / n
@@ -451,8 +455,8 @@ def split_survival_profile(
     log_surv, rel_var = np.zeros(m), np.zeros(m)
     at_snap = np.zeros((2, len(times), m))  # (log_surv, rel_var) at each snapshot
 
-    def resample(step, idx, state):
-        x, rho, rows, slot = state
+    def resample(step, idx, cols, rows):
+        x, rho, slot = cols
         if step % w_steps == 0 and step < n_steps and any(rows):
             donors, lo = [], 0  # n picks among each live start's alive rows
             for i, k in enumerate(rows):
@@ -467,7 +471,7 @@ def split_survival_profile(
             rows = [n if k else 0 for k in rows]
         at = [ti for ti, s in enumerate(snap) if s == step]
         at_snap[0, at], at_snap[1, at] = log_surv, rel_var
-        return x, rho, rows, slot
+        return (x, rho, slot), rows
 
     res = _snapshots(model, [np.tile(x, (n, 1)) for x in xs], times, dt, seed, bridge=bridge, after=resample)
     out, out_se = np.full((len(times), m), -np.inf), np.full((len(times), m), np.inf)

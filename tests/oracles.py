@@ -11,9 +11,9 @@ step, rebirth and binning code: the crossing probability on every path,
 one donor draw per dead particle, and one `searchsorted` per axis.  The
 boundary geometry before them keeps each domain's own open-domain test and
 normal encoding (the axis itself, a nearest-axis index, unit vectors).
-The batch loops (snapshots, hitting, tube, windowed splitting) each
-step on their own with that plain step, where the package runs them all
-on one loop.  Last come the grid Lipschitz constant as a pairwise loop
+The batch loops (snapshots, hitting, tube, windowed splitting) and the
+one-path loop of `simulate_path` each step on their own with that plain
+step, where the package runs them all on one batch driver.  Last come the grid Lipschitz constant as a pairwise loop
 over the points and a cemetery label through a metric callable, and
 histograms by `np.histogramdd`, both as the package computed them before
 one array kernel each.
@@ -31,6 +31,7 @@ from scipy.stats import norm
 from qsd.domains import Box, Interval
 from qsd.models import ConstantIsotropic
 from qsd.rng import step_generator, stream_generator
+from qsd.simulate import AbsorbedPath, NumericalBlowupError
 
 
 # --- 1-d Dirichlet eigensolver (finite differences) ---------------------------
@@ -422,6 +423,32 @@ def fleming_viot_reference(model, pos, n_steps, edges, seed, *, dt, burn_steps, 
 
 
 # --- batch estimator loops, as they stood on their own ------------------------------
+
+
+def path_reference(model, x0, config, target=None):
+    """The loop of `simulate.simulate_path` as it stood on its own: one path,
+    one row of noise from a fresh `step_generator(seed, step)` every step,
+    the times appended as (step + 1) dt, and hit_time the first of them in
+    `target`.  A non-finite step raises `NumericalBlowupError(step)`."""
+    x = np.asarray(x0, dtype=float).reshape(1, model.dim)
+    times, positions = [0.0], [x[0].copy()]
+    hit_time = 0.0 if target is not None and bool(target.contains(x)[0]) else np.inf
+    absorption_time = np.inf
+    for step in range(config.n_steps):
+        x_new, alive = step_reference(model, x, step_generator(config.seed, step), config.dt, config.bridge_correction)
+        if not np.isfinite(x_new).all():
+            raise NumericalBlowupError(step)
+        t = (step + 1) * config.dt
+        if not alive[0]:
+            absorption_time = t
+            break
+        x = x_new
+        times.append(t)
+        positions.append(x[0].copy())
+        if target is not None and not np.isfinite(hit_time) and bool(target.contains(x)[0]):
+            hit_time = t
+    return AbsorbedPath(np.array(times), np.array(positions), absorption_time, hit_time)
+
 
 
 def snapshots_reference(model, cloud, times, dt, seed, *, bridge=True):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
-import qsd.scale1d
+import qsd.simulate
 from qsd.domains import Ball, Box, Interval
 from qsd.models import (
     ConstantIsotropic,
@@ -311,7 +311,7 @@ def test_banded_exit_loop_equals_the_reference_at_the_band_edges(u_fixed, monkey
 
     us = _flip(near_lo, 1e-9, 0.25) + _flip(off_hi, 0.25, hi - 1e-9)
     fixed = lambda *args, **kw: _FixedNoise(u_fixed)  # noqa: E731
-    monkeypatch.setattr(qsd.scale1d, "step_generator", fixed)
+    monkeypatch.setattr(qsd.simulate, "step_generator", fixed)  # where `_exit_mc`'s noise is drawn
     monkeypatch.setattr(oracles, "step_generator", fixed)
     got = _exit_pair(a, us, hi, 5 * dt, 7, list(range(len(us))), dt)
     # p > 0 at every edge row: a zero uniform takes each path out at the first step

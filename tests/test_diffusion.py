@@ -308,6 +308,17 @@ def test_survival_zero_time_and_monotone_nesting():
     assert res.counts[0] >= res.counts[1] >= res.counts[2]
 
 
+def test_survival_at_time_zero_checks_the_start():
+    """t = 0 runs the batch loop: a start outside the domain raises, as at
+    any t > 0, and one inside survives with SE 0."""
+    model = brownian_interval(0, 1)
+    with pytest.raises(DomainError):
+        survival_probability(model, [1.5], 0.0, 1000, 1, dt=1e-3)
+    with pytest.raises(DomainError):
+        survival_probability(model, [1.5], 0.1, 1000, 1, dt=1e-3)
+    assert survival_probability(model, [0.5], 0.0, 1000, 1, dt=1e-3) == (1.0, 0.0)
+
+
 BAD_GRIDS = {
     "negative-time": dict(times=[-0.1, 0.5], dt=1e-3),  # used to read count 0 at t = -0.1
     "only-negative-times": dict(times=[-0.2, -0.1], dt=1e-3),  # used to step until every path died

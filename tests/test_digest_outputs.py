@@ -1,6 +1,7 @@
 """`scripts/digest_outputs.py`, the bit-for-bit check between two checkouts,
 prints the same digests on two runs of one checkout."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -25,3 +26,13 @@ def test_digest_script_runs_small_and_repeats():
     assert all(name.startswith(("chain/dense5/", "chain/dense40/")) for name in chain)  # n <= 40
     cli = [name for name in names if name.startswith("cli/")]
     assert cli == ["cli/configs/finite_verify_sym2.cfg", "cli/configs/simulate_bm.cfg"]
+
+
+def test_digest_script_pins_the_blas_threads_before_numpy():
+    """Loaded under another name than `__main__` (so it digests nothing), in
+    a process started with 2 BLAS threads, the script leaves 1 set."""
+    show = "import os, runpy, sys; runpy.run_path(sys.argv[1], run_name='digests'); " + \
+        "print(*(os.environ[v] for v in ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS')))"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2", MKL_NUM_THREADS="2")
+    out = subprocess.run([sys.executable, "-c", show, str(SCRIPT)], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["1", "1", "1"]

@@ -6,11 +6,13 @@ draws from its own (seed, step) block in its own slot order, so every output
 here must equal, bit for bit, the one-batch public function run per start,
 with the same number of generators and variates.  For d >= 2 the loops hold
 their paths column-major, which must change no bit either.  Windowed splitting,
-hitting and tube probabilities, cases of the same loop, must equal the
-stand-alone loops of `oracles` in the same way.
+hitting and tube probabilities, cases of the same loop, and `simulate_path`,
+a batch of one path on its driver, must equal the stand-alone loops of
+`oracles` in the same way.
 """
 
 import collections
+import dataclasses
 
 import numpy as np
 import pytest
@@ -34,18 +36,21 @@ from qsd.certificates import (
 )
 from qsd.domains import Ball, BallTarget, Box, DomainError, InnerCompact
 from qsd.measures import Measure, histogram_from_samples
-from qsd.models import DiffusionModel, MatrixField, ZeroDrift, build_model
+from qsd.models import CallableDrift, DiffusionModel, MatrixField, ZeroDrift, build_model
 from qsd.particles import conditioned_law_series, domain_grid
 from qsd.rng import stream_generator, substream
 from qsd.scale1d import escape_bounds_check, green_constants, natural_scale_exit_mc
 from qsd.simulate import (
     _STACK,
+    NumericalBlowupError,
+    PathConfig,
     _admitted,
     _columns,
     _snapshots,
     _step,
     _variates,
     hitting_before,
+    simulate_path,
     split_survival_profile,
     survival_snapshots,
     tube_probability,
@@ -55,6 +60,7 @@ import oracles
 from oracles import (
     exit_mc_reference,
     hitting_reference,
+    path_reference,
     snapshots_reference,
     split_profile_reference,
     tube_reference,
@@ -109,8 +115,9 @@ def _count_draws(monkeypatch, *modules):
 
 @pytest.fixture
 def tally(monkeypatch):
-    """Counts of the package's `step_generator` calls and variates."""
-    return _count_draws(monkeypatch, qsd.simulate, qsd.particles, qsd.scale1d)
+    """Counts of the package's `step_generator` calls and variates (`scale1d`
+    draws through `simulate._batches`)."""
+    return _count_draws(monkeypatch, qsd.simulate, qsd.particles)
 
 
 # --- the stacked snapshot loop ---------------------------------------------------
@@ -193,8 +200,7 @@ def small_stack(monkeypatch):
         seen.append((live, real(sizes, live)))
         return seen[-1][1]
 
-    monkeypatch.setattr(qsd.simulate, "_admitted", spy)
-    monkeypatch.setattr(qsd.scale1d, "_admitted", spy)
+    monkeypatch.setattr(qsd.simulate, "_admitted", spy)  # the exit loop of `scale1d` admits through it too
     return seen
 
 
@@ -345,6 +351,11 @@ def test_split_profile_equals_the_reference_loop(name, bridge, monkeypatch, tall
         drawn.clear()
 
 
+def test_split_profile_of_no_starts_is_empty():
+    logp, logse = split_survival_profile(model_of("box2"), np.empty((0, 2)), [0.1, 0.2], 300, 11, dt=1e-2, window=0.05)
+    assert logp.shape == logse.shape == (2, 0)
+
+
 @pytest.mark.parametrize("name", list(DOMAINS))
 def test_split_profile_time_zero_is_log_survival_zero(name):
     model = model_of(name)
@@ -421,6 +432,64 @@ def test_inner_compact_hits_read_the_step_rho(monkeypatch):
         calls.clear()
         assert got == hitting_before(model, x, copy, 0.1, 2000, substream(107, 70, k), dt=2e-3)
         assert calls["rho"] == 2 * calls["step"] + n_start
+
+
+# --- one path on the batch driver --------------------------------------------------
+
+
+def _same_path(a, b):
+    """Equal times and positions, bit for bit, and equal absorption and hit times."""
+    same = [x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+            for x, y in ((a.times, b.times), (a.positions, b.positions))]
+    return all(same) and a.absorption_time == b.absorption_time and a.hit_time == b.hit_time
+
+
+@pytest.mark.parametrize("bridge", [True, False])
+@pytest.mark.parametrize("name", list(DOMAINS))
+def test_simulate_path_equals_the_reference_loop(name, bridge):
+    """Paths from the boundary start and the deep one on twelve seeds each:
+    every field equals that of the one-path reference loop, bit for bit,
+    and among them are paths absorbed early, paths that survive the horizon
+    and paths that hit the target late."""
+    model = model_of(name)
+    deep, edge = DOMAINS[name][3:]
+    target = BallTarget((deep[0] + 0.4, *deep[1:]), 0.2)
+    seen = collections.Counter()
+    for x0 in (edge, deep):
+        for seed in range(12):
+            cfg = PathConfig(dt=1e-2, horizon=0.4, seed=seed, bridge_correction=bridge)
+            got, ref = simulate_path(model, x0, cfg, target), path_reference(model, x0, cfg, target)
+            assert _same_path(got, ref)
+            assert type(got.hit_time) is float and type(got.absorption_time) is float  # digested as floats
+            seen["early"] += got.absorbed and got.absorption_time <= 0.05
+            seen["survives"] += not got.absorbed
+            seen["late hit"] += got.hit and got.hit_time >= 0.1
+            if got.absorbed:  # the same path, absorbed at its last step
+                last = dataclasses.replace(cfg, horizon=got.absorption_time)
+                again = simulate_path(model, x0, last, target)
+                assert _same_path(again, path_reference(model, x0, last, target))
+                assert again.absorption_time == got.absorption_time
+    assert seen["early"] and seen["survives"] and seen["late hit"], seen
+
+
+@pytest.mark.parametrize("name", list(DOMAINS))
+def test_simulate_path_blows_up_at_the_reference_step(name):
+    """A drift that turns NaN 0.1 away from the deep start raises at the
+    step the reference loop raises at, some of them past step 0."""
+    base, deep = model_of(name), np.asarray(DOMAINS[name][3], dtype=float)
+    drift = CallableDrift(lambda x: np.where(np.abs(x - deep) > 0.1, np.nan, 0.0), declared_bound=1.0)
+    model = dataclasses.replace(base, drift=drift)
+    steps = []
+    for bridge in (True, False):
+        for seed in range(4):
+            cfg = PathConfig(dt=1e-2, horizon=1.0, seed=seed, bridge_correction=bridge)
+            with pytest.raises(NumericalBlowupError) as got:
+                simulate_path(model, deep, cfg)
+            with pytest.raises(NumericalBlowupError) as ref:
+                path_reference(model, deep, cfg)
+            assert got.value.step == ref.value.step
+            steps.append(got.value.step)
+    assert max(steps) > 0
 
 
 # --- the exit loop of scale1d ------------------------------------------------------
